@@ -45,7 +45,7 @@ Examples::
     repro inspect run.jsonl --page 512
     repro tracesim --workload engineering --trace-out mr.jsonl --trace-misses
     repro analyze mr.jsonl --ledger
-    repro analyze diff scalar.jsonl auto.jsonl
+    repro analyze diff scalar.jsonl vector.jsonl
     repro sweep --grid fig9 --jobs 4 --scale 0.25
     repro figures --figure fig9 --jobs 4
     repro trace record --scale 0.25
@@ -130,6 +130,7 @@ from repro.sim.simulator import (
     run_policy_comparison,
 )
 from repro.trace.policysim import (
+    REPLAY_ENGINES,
     PolicySimConfig,
     StaticPolicy,
     TracePolicySimulator,
@@ -347,13 +348,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _policy_sim_config(
+    args: argparse.Namespace, spec
+) -> Optional[PolicySimConfig]:
+    """The trace simulator's machine and engine for ``spec``.
+
+    Returns None after printing a one-line error when the engine is
+    invalid (e.g. a malformed ``$REPRO_REPLAY_ENGINE``).
+    """
+    kwargs = dict(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
+    if args.engine:
+        kwargs["engine"] = args.engine
+    try:
+        return PolicySimConfig(**kwargs)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_tracesim(args: argparse.Namespace) -> int:
     spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
     user = trace.kernel_only() if args.kernel else trace.user_only()
-    config_kwargs = dict(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    if args.engine:
-        config_kwargs["engine"] = args.engine
-    config = PolicySimConfig(**config_kwargs)
+    config = _policy_sim_config(args, spec)
+    if config is None:
+        return 2
     profiler = _make_profiler(args)
     sim = TracePolicySimulator(config, profiler=profiler)
     # The traced simulator records only the flagship run (the full-cache
@@ -452,7 +470,7 @@ def cmd_tracesim(args: argparse.Namespace) -> int:
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
         context={"workload": args.workload, "scale": args.scale,
                  "seed": args.seed,
-                 "engine": args.engine or "auto"},
+                 "engine": config.engine},
     )
     return 0
 
@@ -461,10 +479,9 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
     """Page-table policy comparison (the repro.ptpol subsystem)."""
     spec, trace = load_workload(args.workload, scale=args.scale, seed=args.seed)
     user = trace.user_only()
-    config_kwargs = dict(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    if args.engine:
-        config_kwargs["engine"] = args.engine
-    config = PolicySimConfig(**config_kwargs)
+    config = _policy_sim_config(args, spec)
+    if config is None:
+        return 2
     profiler = _make_profiler(args)
     trigger = params_for(args.workload, args.trigger).trigger_threshold
     # The traced run is the flagship CoPlace leg; walk reconciliation
@@ -548,7 +565,7 @@ def cmd_ptsim(args: argparse.Namespace) -> int:
         metrics=_attrib_metrics(attrib) if attrib is not None else None,
         context={"workload": args.workload, "scale": args.scale,
                  "seed": args.seed,
-                 "engine": args.engine or "auto"},
+                 "engine": config.engine},
     )
     return 0
 
@@ -780,9 +797,9 @@ def _make_sweep_runner(args: argparse.Namespace):
             status = "cache"
         elif outcome.ok:
             status = f"ran {outcome.duration_s:.2f}s"
-            rate = _events_per_s(outcome)
+            rate = _misses_per_s(outcome)
             if rate > 0:
-                status += f", {rate:,.0f} events/s"
+                status += f", {rate:,.0f} misses/s"
         else:
             status = f"FAILED: {outcome.error}"
         print(
@@ -800,8 +817,8 @@ def _make_sweep_runner(args: argparse.Namespace):
     return runner, cache
 
 
-def _events_per_s(outcome: SweepOutcome) -> float:
-    """Replay throughput of one executed outcome (0.0 when unknown)."""
+def _misses_per_s(outcome: SweepOutcome) -> float:
+    """Weighted misses per task-wall second of one outcome (0.0 when unknown)."""
     result = outcome.result
     if result is None or outcome.duration_s <= 0:
         return 0.0
@@ -828,7 +845,7 @@ def _sweep_stats(report: SweepReport, cache: Optional[ResultCache]) -> dict:
         "interrupted": report.interrupted,
         "cache": cache.stats() if cache is not None else None,
         "trace_store": store.stats() if store is not None else None,
-        "replay_engine": os.environ.get("REPRO_REPLAY_ENGINE", "auto"),
+        "replay_engine": os.environ.get("REPRO_REPLAY_ENGINE", "vector"),
         "attribution": sweep_attribution(report.outcomes),
         "profile": {
             "phase_wall_s": dict(report.phase_wall_s),
@@ -1675,17 +1692,15 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     if store is None:
         return 2
     spec = build_spec(args.workload, scale=args.scale, seed=args.seed)
-    config_kwargs = dict(n_cpus=spec.n_cpus, n_nodes=spec.n_nodes)
-    if args.engine:
-        config_kwargs["engine"] = args.engine
+    config = _policy_sim_config(args, spec)
+    if config is None:
+        return 2
     profiler = _make_profiler(args)
     if profiler is not None:
         # One profile covers decode and replay: the store's per-chunk
         # spans interleave with the simulator's under replay.chunks.
         store.profiler = profiler
-    sim = TracePolicySimulator(
-        PolicySimConfig(**config_kwargs), profiler=profiler
-    )
+    sim = TracePolicySimulator(config, profiler=profiler)
     factories = {
         "migr": PolicyParameters.migration_only,
         "repl": PolicyParameters.replication_only,
@@ -1727,7 +1742,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
         metrics={k: float(v) for k, v in stats.items()},
         context={"workload": args.workload, "scale": args.scale,
                  "seed": args.seed, "policy": args.policy,
-                 "engine": args.engine or "auto"},
+                 "engine": config.engine},
     )
     return 0
 
@@ -1783,11 +1798,11 @@ def _add_profile_option(parser: argparse.ArgumentParser) -> None:
 def _add_engine_option(parser: argparse.ArgumentParser) -> None:
     """The dynamic-replay engine knob (see docs/PERFORMANCE.md)."""
     parser.add_argument(
-        "--engine", choices=("auto", "scalar", "vector"), default=None,
+        "--engine", choices=REPLAY_ENGINES, default=None,
         help=(
             "dynamic-replay engine (default: $REPRO_REPLAY_ENGINE or "
-            "auto; auto = vectorized on every path, tracing included — "
-            "scalar pins the byte-identical reference core)"
+            "vector, which covers every path, tracing included; scalar "
+            "pins the byte-identical reference core)"
         ),
     )
 

@@ -1,6 +1,5 @@
-"""The CC-NUMA hardware substrate: caches, TLBs, memory, directory."""
+"""The CC-NUMA hardware substrate: TLBs, memory, directory, interconnect."""
 
-from repro.machine.cache import CacheHierarchy, SetAssociativeCache
 from repro.machine.config import (
     CacheConfig,
     MachineConfig,
@@ -23,8 +22,6 @@ from repro.machine.memory import MissService, NumaMemorySystem
 from repro.machine.tlb import Tlb, TlbArray
 
 __all__ = [
-    "CacheHierarchy",
-    "SetAssociativeCache",
     "CacheConfig",
     "MachineConfig",
     "MemoryConfig",

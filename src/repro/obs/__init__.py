@@ -36,7 +36,6 @@ from repro.obs.events import (
     EVENT_TYPES,
     KIND_TO_TYPE,
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -158,7 +157,6 @@ __all__ = [
     "EVENT_TYPES",
     "KIND_TO_TYPE",
     "CollapseEvent",
-    "EngineFallback",
     "HotPageTriggered",
     "IntervalReset",
     "MigrationDecision",

@@ -22,7 +22,7 @@ whether it paid off and where the remaining stall time lives:
   miss-ratio rows for the JSONL/Chrome sinks.
 * **Run diffing** (:func:`diff_attributions`) — per-page divergence
   ranking between two runs of the same spec (policy vs. policy, or
-  scalar vs. auto engine logs, which must not diverge at all).
+  scalar vs. vector engine logs, which must not diverge at all).
 * **Page-table decisions** — streams from the PT-policy family
   (:mod:`repro.ptpol`) carry walk-flagged :class:`MissServiced` events
   plus :class:`PtReplicate` / :class:`ThreadMigrate` decisions; they
@@ -47,7 +47,6 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.obs.events import (
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -296,7 +295,6 @@ class Attribution:
         self._pt_span = 0
         self._last_pt_rec: Optional[DecisionRecord] = None
         self.interval_resets = 0
-        self.engine_fallbacks = 0
         self.trigger_adjustments = 0
         self.events = 0
         self.miss_events = 0
@@ -414,8 +412,6 @@ class Attribution:
             self.interval_resets += 1
         elif isinstance(event, RunMeta):
             self._feed_meta(event)
-        elif isinstance(event, EngineFallback):
-            self.engine_fallbacks += 1
         elif isinstance(event, TriggerAdjusted):
             self.trigger_adjustments += 1
         elif isinstance(event, SpanEvent):
@@ -917,7 +913,6 @@ class Attribution:
                 "pt_replications": self.pt_replications,
                 "thread_migrations": self.thread_migrations,
                 "interval_resets": self.interval_resets,
-                "engine_fallbacks": self.engine_fallbacks,
                 "pages": len(self.pages),
                 "regrets": len(self.regrets),
                 "duration_ms": self.last_t / 1e6,
@@ -1108,8 +1103,8 @@ def diff_attributions(a: Attribution, b: Attribution) -> AttribDiff:
     """Per-page divergence between two runs, worst stall delta first.
 
     Compares page-level attribution only — run headers (:class:`RunMeta`)
-    and engine-fallback warnings are metadata, so a scalar-engine log and
-    an auto-engine log of the same spec diff to zero divergence.
+    are metadata, so a scalar-engine log and a vector-engine log of the
+    same spec diff to zero divergence.
     """
     out = AttribDiff(stall_delta_ns=b.stall_ns - a.stall_ns)
     pages_a, pages_b = a.pages, b.pages
@@ -1314,11 +1309,6 @@ def format_summary(attrib: Attribution) -> str:
             f"payoff: {len(ledger)} decisions saved {_fmt_ns(saved)} "
             f"for {_fmt_ns(cost)} paid (net {_fmt_ns(saved - cost)}); "
             f"{len(regrets)} net-regret"
-        )
-    if attrib.engine_fallbacks:
-        lines.append(
-            f"note: {attrib.engine_fallbacks} engine fallback(s) "
-            f"(auto -> scalar for tracing)"
         )
     return "\n".join(lines)
 

@@ -23,7 +23,6 @@ from typing import Dict, Iterable, Iterator, List, Optional
 from repro.common.errors import TraceError
 from repro.obs.events import (
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -148,14 +147,12 @@ def read_events(
 # -- chrome://tracing ---------------------------------------------------------------
 
 #: Decision-level kinds drawn as instant events on per-CPU tracks.
-#: EngineFallback has no CPU, so it lands on tid 0 (getattr default).
 _INSTANT_KINDS = (
     HotPageTriggered,
     MigrationDecision,
     ReplicationDecision,
     NoActionDecision,
     CollapseEvent,
-    EngineFallback,
 )
 
 #: Track id of the profiler-span timeline (reset intervals use -1).
@@ -223,7 +220,7 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> Dict[str, list]:
                     "s": "t",
                     "ts": ts_us,
                     "pid": 0,
-                    "tid": getattr(event, "cpu", 0),
+                    "tid": event.cpu,
                     "args": args,
                 }
             )

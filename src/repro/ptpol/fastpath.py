@@ -55,10 +55,19 @@ from typing import Optional, Set
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import ConfigurationError
 from repro.obs.batch import PT_REPLAY_PHASES, BatchEmitter
 from repro.obs.events import MissServiced
 from repro.ptpol.sim import _PtReplayState
+from repro.trace.segments import (
+    charge_cold,
+    cold_stall,
+    emit_cold_misses,
+    interval_segments,
+    merge_streams,
+    pair_sums,
+    write_back_counts,
+)
 
 
 def replay_pt_vector(sim, trace, driver, params, result) -> None:
@@ -73,11 +82,6 @@ def replay_pt_vector(sim, trace, driver, params, result) -> None:
             "no PT-family policy enables data replication — re-run "
             "this parameter set with --engine scalar"
         )
-    if trace.meta is not driver.meta and trace.meta is not None:
-        if driver.meta is not None and trace.meta.name != driver.meta.name:
-            raise TraceError(
-                "cost and driver traces are from different workloads"
-            )
     st = _PtReplayState(sim, params, result)
     tracer = sim.tracer
     em: Optional[BatchEmitter] = None
@@ -88,50 +92,29 @@ def replay_pt_vector(sim, trace, driver, params, result) -> None:
         st.trace_on = True
         st.emit_miss = em.wants(MissServiced.KIND)
 
-    n_cost, n_driver = len(trace), len(driver)
-    n_total = n_cost + n_driver
-    if n_total == 0:
+    if len(trace) + len(driver) == 0:
         st.finalize()
         return
-
-    times = np.concatenate([trace.time_ns, driver.time_ns]).astype(np.int64)
-    cpus = np.concatenate([trace.cpu, driver.cpu]).astype(np.int64)
-    pids = np.concatenate([trace.process, driver.process]).astype(np.int64)
-    pages = np.concatenate([trace.page, driver.page]).astype(np.int64)
-    weights = np.concatenate([trace.weight, driver.weight]).astype(np.int64)
-    iswrite = np.concatenate(
-        [np.asarray(trace.is_write, bool), np.asarray(driver.is_write, bool)]
+    times, cpus, pids, pages, weights, iswrite, costmask = merge_streams(
+        _pt_columns(trace), _pt_columns(driver)
     )
-    costmask = np.concatenate(
-        [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
-    )
-    # Stable sort with the cost block first: at equal timestamps the
-    # cost record precedes the driver record (the
-    # ``_merged_process_events`` tie rule) and driver records keep
-    # their derivation order.
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    cpus = cpus[order]
-    pids = pids[order]
-    pages = pages[order]
-    weights = weights[order]
-    iswrite = iswrite[order]
-    costmask = costmask[order]
     leaves = pages // sim.config.pt_span_pages
-
     engine = _PtSegmentEngine(st, int(pages.max()) + 1, int(leaves.max()) + 1)
-    iids = times // params.reset_interval_ns
-    starts = np.concatenate(
-        [[0], np.flatnonzero(np.diff(iids) != 0) + 1, [n_total]]
-    )
-    for si in range(len(starts) - 1):
-        s, e = int(starts[si]), int(starts[si + 1])
+    for s, e, _ in interval_segments(times, params.reset_interval_ns):
         engine.boundary(s, int(times[s]))
         engine.run_segment(
             s, times[s:e], cpus[s:e], pids[s:e], pages[s:e], weights[s:e],
             iswrite[s:e], costmask[s:e], leaves[s:e],
         )
-    engine.finish(n_total)
+    engine.finish(len(times))
+
+
+def _pt_columns(trace):
+    """The PT engine's record columns: the data columns plus processes."""
+    return (
+        trace.time_ns, trace.cpu, trace.process, trace.page, trace.weight,
+        trace.is_write,
+    )
 
 
 class _PtSegmentEngine:
@@ -355,10 +338,9 @@ class _PtSegmentEngine:
             ww = w[walk].astype(np.float64)
             wc = cpu[walk]
             wp = pid[walk]
-            pair_ids = wl * self.n_nodes + wn
-            upair = np.unique(pair_ids)
-            holds = st.ptrep.holds
             n_nodes = self.n_nodes
+            upair, idxp = np.unique(wl * n_nodes + wn, return_inverse=True)
+            holds = st.ptrep.holds
             pair_remote = np.fromiter(
                 (
                     not holds(int(pr) // n_nodes, int(pr) % n_nodes)
@@ -366,8 +348,7 @@ class _PtSegmentEngine:
                 ),
                 dtype=bool, count=len(upair),
             )
-            remote_ev = pair_remote[np.searchsorted(upair, pair_ids)]
-            idxp = np.searchsorted(upair, pair_ids)
+            remote_ev = pair_remote[idxp]
             while True:
                 in_k = kcpu_flag[wc]
                 base = np.bincount(
@@ -402,16 +383,13 @@ class _PtSegmentEngine:
 
         # -- data-page candidacy (with the final K).
         if st.data_dynamic and cost.any():
-            cp = page[cost]
-            cc = cpu[cost]
-            cw = w[cost].astype(np.float64)
-            ids = cp * self.n_cpus + cc
-            uids, inv = np.unique(ids, return_inverse=True)
-            sums = np.bincount(inv, weights=cw)
+            upages, ucpus, sums = pair_sums(
+                page[cost], cpu[cost], self.n_cpus, w[cost]
+            )
             big = sums >= st.trigger
             if big.any():
-                bp = uids[big] // self.n_cpus
-                bc = uids[big] % self.n_cpus
+                bp = upages[big]
+                bc = ucpus[big]
                 place = self.data_node[bp]
                 unknown = place < 0
                 if unknown.any() and len(ft_pos):
@@ -447,57 +425,28 @@ class _PtSegmentEngine:
         if not coldc.any():
             return
         st = self.st
-        result = st.result
         cw = w[coldc]
-        local = self.data_node[page[coldc]] == node_ev[coldc]
-        total_w = int(cw.sum())
-        local_w = int(cw[local].sum())
-        result.total_misses += total_w
-        result.local_misses += local_w
-        local_stall = local_w * st.local_ns
-        result.stall_ns += local_stall + (total_w - local_w) * st.remote_ns
-        st.local_stall += local_stall
-        em = st.em
+        cpages = page[coldc]
+        local = self.data_node[cpages] == node_ev[coldc]
+        st.local_stall += charge_cold(
+            st.result, cw, local, st.local_ns, st.remote_ns
+        )
         if st.emit_miss:
-            ci = np.flatnonzero(coldc)
-            serving = np.where(
-                local, node_ev[ci], self.data_node[page[ci]]
+            emit_cold_misses(
+                st.em, g0 + np.flatnonzero(coldc), t[coldc], cpu[coldc],
+                cpages, cw,
+                np.where(local, node_ev[coldc], self.data_node[cpages]),
+                local, st.local_ns, st.remote_ns, process=pid[coldc],
             )
-            lat_l, lat_r = float(st.local_ns), float(st.remote_ns)
-            em.phase = None
-            emit = em.emit
-            gidx = (g0 + ci).tolist()
-            rows = zip(
-                t[ci].tolist(), cpu[ci].tolist(), page[ci].tolist(),
-                cw.tolist(), serving.tolist(), local.tolist(),
-                pid[ci].tolist(),
-            )
-            for j, (t_, c_, p_, w_, n_, loc, pid_) in enumerate(rows):
-                em.index = gidx[j]
-                emit(
-                    MissServiced(
-                        t=t_, cpu=c_, page=p_, node=n_, weight=w_,
-                        latency_ns=lat_l if loc else lat_r,
-                        remote=not loc, process=pid_,
-                    )
-                )
         # Cold counts land in the bank only when traced: nothing reads
         # them before the reset clears them, but the reset's
         # IntervalReset.tracked_pages counts every recorded page.
-        if em is not None and st.data_dynamic:
-            ids = page[coldc] * self.n_cpus + cpu[coldc]
-            uids, inv = np.unique(ids, return_inverse=True)
-            sums = np.bincount(inv, weights=w[coldc]).astype(np.int64)
-            record = st.bank.record
-            for id_, s_ in zip(uids.tolist(), sums.tolist()):
-                record(id_ // self.n_cpus, id_ % self.n_cpus, s_, False)
+        if st.em is not None and st.data_dynamic:
+            upages, ucpus, sums = pair_sums(cpages, cpu[coldc], self.n_cpus, cw)
             cold_w = coldc & iw
-            if cold_w.any():
-                wu, winv = np.unique(page[cold_w], return_inverse=True)
-                wsums = np.bincount(winv, weights=w[cold_w]).astype(np.int64)
-                add_writes = st.bank.add_writes
-                for p_, s_ in zip(wu.tolist(), wsums.tolist()):
-                    add_writes(p_, s_)
+            write_back_counts(
+                st.bank, upages, ucpus, sums, page[cold_w], w[cold_w]
+            )
 
     def _cold_walks(self, g0, t, cpu, pid, page, w, coldw, leaf, node_ev):
         """Bulk-account the cold page-table walks of one segment.
@@ -515,8 +464,7 @@ class _PtSegmentEngine:
         ww = w[coldw]
         wl = leaf[coldw]
         wn = node_ev[coldw]
-        pair_ids = wl * self.n_nodes + wn
-        upair, inv = np.unique(pair_ids, return_inverse=True)
+        upair, inv = np.unique(wl * self.n_nodes + wn, return_inverse=True)
         holds = st.ptrep.holds
         n_nodes = self.n_nodes
         pair_local = np.fromiter(
@@ -524,42 +472,25 @@ class _PtSegmentEngine:
             dtype=bool, count=len(upair),
         )
         local = pair_local[inv]
-        total_w = int(ww.sum())
-        local_w = int(ww[local].sum())
+        total_w, local_w, stall, local_stall = cold_stall(
+            ww, local, st.walk_local_ns, st.walk_remote_ns
+        )
         tally = st.tally
         tally.walks += total_w
         tally.local_walks += local_w
-        local_stall = local_w * st.walk_local_ns
-        stall = local_stall + (total_w - local_w) * st.walk_remote_ns
         st.result.stall_ns += stall
         st.walk_stall += stall
         st.local_walk_stall += local_stall
         st.local_stall += local_stall
         if st.emit_miss:
-            em = st.em
-            wi = np.flatnonzero(coldw)
             home_of = st.ptrep.home_of
             homes = np.fromiter(
                 (home_of(int(leaf_)) for leaf_ in wl.tolist()),
                 dtype=np.int64, count=len(wl),
             )
-            serving = np.where(local, wn, homes)
-            lat_l = float(st.walk_local_ns)
-            lat_r = float(st.walk_remote_ns)
-            em.phase = None
-            emit = em.emit
-            gidx = (g0 + wi).tolist()
-            rows = zip(
-                t[wi].tolist(), cpu[wi].tolist(), page[wi].tolist(),
-                ww.tolist(), serving.tolist(), local.tolist(),
-                pid[wi].tolist(),
+            emit_cold_misses(
+                st.em, g0 + np.flatnonzero(coldw), t[coldw], cpu[coldw],
+                page[coldw], ww, np.where(local, wn, homes), local,
+                st.walk_local_ns, st.walk_remote_ns,
+                process=pid[coldw], walk=True,
             )
-            for j, (t_, c_, p_, w_, n_, loc, pid_) in enumerate(rows):
-                em.index = gidx[j]
-                emit(
-                    MissServiced(
-                        t=t_, cpu=c_, page=p_, node=n_, weight=w_,
-                        latency_ns=lat_l if loc else lat_r,
-                        remote=not loc, process=pid_, walk=True,
-                    )
-                )

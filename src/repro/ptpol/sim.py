@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional, Set, Tuple
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import ConfigurationError
 from repro.obs.events import (
     HotPageTriggered,
     IntervalReset,
@@ -68,6 +68,7 @@ from repro.trace.policysim import (
     _pager_act,
 )
 from repro.trace.record import Trace
+from repro.trace.segments import check_same_workload
 from repro.trace.tlbsim import derive_tlb_trace
 
 #: The PT policy family, in presentation order.
@@ -501,8 +502,8 @@ class PtPolicySimulator(TracePolicySimulator):
     """Replay a trace under the page-table placement policies.
 
     Both engines run it: the scalar core drives :class:`_PtReplayState`
-    one merged record at a time, while ``engine="vector"`` — what
-    ``"auto"`` picks — replays interval segments through
+    one merged record at a time, while ``engine="vector"`` (the
+    default) replays interval segments through
     :mod:`repro.ptpol.fastpath`, bulk-accounting cold misses and walks
     and sub-replaying the hot candidates through the very same state
     machine.  Results and event logs are byte-identical between the
@@ -546,6 +547,7 @@ class PtPolicySimulator(TracePolicySimulator):
         engine = self._resolve_engine("ptpol")
         if driver_trace is None:
             driver_trace = derive_tlb_trace(trace, n_cpus=cfg.n_cpus)
+        check_same_workload(trace, driver_trace)
         result = PolicySimResult(label=label or self._pt_label(params))
         self._emit_run_meta(result.label, params, pt=True)
         n_events = len(trace) + len(driver_trace)
@@ -594,11 +596,6 @@ class PtPolicySimulator(TracePolicySimulator):
         record that produced it, the first sighting of a page is always
         the data miss that faults its mapping in.
         """
-        if cost.meta is not driver.meta and cost.meta is not None:
-            if driver.meta is not None and cost.meta.name != driver.meta.name:
-                raise TraceError(
-                    "cost and driver traces are from different workloads"
-                )
         i = j = 0
         n_cost, n_driver = len(cost), len(driver)
         c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()

@@ -36,14 +36,14 @@ latency), and all partial sums stay far below 2**53, where float64
 addition is exact — so bulk sums reproduce the scalar engine's
 per-event float accumulation bit for bit, in any order.
 
-The public entry points are :func:`replay_dynamic_vector` (whole
-trace, optional merged TLB driver stream), :func:`replay_chunks_vector`
-(streaming chunks; intervals spanning a chunk boundary carry
-bank/armed/pending state across, with cold counter sums written back to
-the bank in batch), :func:`replay_batches_vector` (pre-merged column
-batches, e.g. the streamed TLB-driver merge of
-:func:`repro.trace.tlbsim.merged_tlb_stream`) and
+The public entry points are :func:`replay_vector` (time-ordered
+column batches: a whole trace as one batch, streamed chunks, or the
+cost/TLB-driver merge of :func:`repro.trace.tlbsim.merged_tlb_stream`;
+intervals spanning a batch boundary carry bank/armed/pending state
+across, with cold counter sums written back to the bank) and
 :func:`replay_competitive_vector` (the [BGW89] competitive baseline).
+The segment cut, the bulk sums and the cold emission come from the
+shared kernel in :mod:`repro.trace.segments`.
 Results — the full :class:`~repro.trace.policysim.PolicySimResult`,
 including ``extra["local_stall_ns"]`` — are byte-identical to the
 scalar engine; the differential suites in
@@ -70,7 +70,6 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.common.errors import TraceError
 from repro.machine.directory import MissCounterBank
 from repro.obs.batch import DATA_REPLAY_PHASES, BatchEmitter
 from repro.obs.events import (
@@ -80,6 +79,13 @@ from repro.obs.events import (
     MissServiced,
 )
 from repro.obs.prof import as_profiler
+from repro.trace.segments import (
+    charge_cold,
+    emit_cold_misses,
+    interval_segments,
+    pair_sums,
+    write_back_counts,
+)
 
 
 class _VectorEngine:
@@ -214,27 +220,29 @@ class _VectorEngine:
     # -- feeding events --------------------------------------------------------
 
     def run_batch(
-        self, times, cpus, pages, weights, iswrite, costmask, cntmask,
-        streaming: bool,
+        self, times, cpus, pages, weights, iswrite, costmask, streaming: bool,
     ) -> None:
         """Process one time-ordered batch (a whole trace or one chunk).
 
-        With ``streaming=True`` the interval containing the batch's last
-        event may continue into the next batch, so that segment's cold
-        counter sums are written back to the bank.
+        ``costmask`` None means every record both costs and counts;
+        otherwise cost records charge stall and the rest (driver
+        records) only drive the counters.  With ``streaming=True`` the
+        interval containing the batch's last event may continue into the
+        next batch, so that segment's cold counter sums are written back
+        to the bank.
         """
         n = len(times)
         if n == 0:
             return
+        if costmask is None:
+            costmask = cntmask = np.ones(n, dtype=bool)
+        else:
+            cntmask = ~costmask
         counted = self._counted(cpus, weights, cntmask)
         self._first_touch(pages, cpus)
-        iids = times // self.interval
-        change = np.flatnonzero(iids[1:] != iids[:-1]) + 1
-        bounds = [0, *change.tolist(), n]
-        last = len(bounds) - 2
-        for si in range(len(bounds) - 1):
-            s, e = bounds[si], bounds[si + 1]
-            iid = int(iids[s])
+        segments = interval_segments(times, self.interval)
+        last = len(segments) - 1
+        for si, (s, e, iid) in enumerate(segments):
             if iid != self.cur_iid:
                 self._interval_reset(self.gpos + s, int(times[s]))
                 self.cur_iid = iid
@@ -258,26 +266,20 @@ class _VectorEngine:
     # -- interval machinery ----------------------------------------------------
 
     def _flush_pending(self, at_gidx: int = 0, at_time=None) -> None:
-        pending = self.pending
-        act = self._act
-        dirty = self._dirty
-        em = self.em
-        if em is None:
-            while pending:
-                due, page, cpu = pending.popleft()
-                dirty.add(page)
-                act(due, page, cpu)
-            return
         # Traced: entries already due at the flush record drain there
         # (phase 0, like any drained action); entries flushed before
         # falling due sort after them (phase 1), before the reset event.
+        pending = self.pending
+        em = self.em
         while pending:
             due, page, cpu = pending.popleft()
-            dirty.add(page)
-            em.index = at_gidx
-            em.phase = 0 if (at_time is None or due <= at_time) else 1
-            act(due, page, cpu)
-        em.phase = None
+            self._dirty.add(page)
+            if em is not None:
+                em.index = at_gidx
+                em.phase = 0 if (at_time is None or due <= at_time) else 1
+            self._act(due, page, cpu)
+        if em is not None:
+            em.phase = None
 
     def _interval_reset(self, reset_gidx: int, reset_time: int) -> None:
         # Flush in-flight interrupts against pre-reset counters, write
@@ -373,14 +375,11 @@ class _VectorEngine:
 
         # 1. Hot-candidate detection.
         rec = counted > 0
-        kpages = pages[rec]
-        have_pairs = len(kpages) > 0
+        have_pairs = bool(rec.any())
         if have_pairs:
-            keys = kpages * n_cpus + cpus[rec]
-            u, inv = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inv, weights=counted[rec])
-            upages = u // n_cpus
-            ucpus = u % n_cpus
+            upages, ucpus, sums = pair_sums(
+                pages[rec], cpus[rec], n_cpus, counted[rec]
+            )
             if self.bank.tracked_pages:
                 carries = self._bank_carries(upages, ucpus)
             else:
@@ -389,7 +388,6 @@ class _VectorEngine:
             remote = ((masks[upages] >> self.node_arr[ucpus]) & 1) == 0
             cand_parts = [upages[crossing & remote]]
         else:
-            upages = ucpus = sums = None
             cand_parts = [np.zeros(0, dtype=np.int64)]
         wsel = costmask & iswrite
         wpages = pages[wsel]
@@ -401,6 +399,8 @@ class _VectorEngine:
         cand = np.unique(np.concatenate(cand_parts))
 
         # 2. Split the segment into hot (candidate-page) and cold events.
+        # ``flag`` is all False outside this block, so with no
+        # candidates every event is cold.
         flag = self._flag
         if len(cand):
             flag[cand] = True
@@ -413,50 +413,27 @@ class _VectorEngine:
         cold_cost = costmask & ~hot
         cw = weights[cold_cost]
         if len(cw):
-            local = (masks[pages[cold_cost]] >> self.node_arr[cpus[cold_cost]]) & 1
-            total_w = int(cw.sum())
-            local_w = int((cw * local).sum())
-            result.total_misses += total_w
-            result.local_misses += local_w
-            result.stall_ns += float(
-                local_w * self.local_ns + (total_w - local_w) * self.remote_ns
+            cold_pages = pages[cold_cost]
+            cold_cpus = cpus[cold_cost]
+            cmask = masks[cold_pages]
+            is_local = ((cmask >> self.node_arr[cold_cpus]) & 1).astype(bool)
+            self.local_stall += charge_cold(
+                result, cw, is_local, self.local_ns, self.remote_ns
             )
-            self.local_stall += float(local_w * self.local_ns)
             if self.emit_miss:
                 # Cold placements are segment-constant, so the serving
                 # node is the placement node when local and the lowest
                 # replica node (min of the copy set) when remote —
                 # exactly the scalar core's MissServiced fields.
-                cold_pages = pages[cold_cost]
-                cmask = masks[cold_pages]
                 low = np.log2((cmask & -cmask).astype(np.float64)).astype(
                     np.int64
                 )
-                is_local = local.astype(bool)
-                serving = np.where(
-                    is_local, self.node_arr[cpus[cold_cost]], low
+                emit_cold_misses(
+                    em, gstart + np.flatnonzero(cold_cost),
+                    times[cold_cost], cold_cpus, cold_pages, cw,
+                    np.where(is_local, self.node_arr[cold_cpus], low),
+                    is_local, self.local_ns, self.remote_ns,
                 )
-                idx_list = (gstart + np.flatnonzero(cold_cost)).tolist()
-                rows = zip(
-                    times[cold_cost].tolist(),
-                    cpus[cold_cost].tolist(),
-                    cold_pages.tolist(),
-                    cw.tolist(),
-                    serving.tolist(),
-                    is_local.tolist(),
-                )
-                lat_l, lat_r = float(self.local_ns), float(self.remote_ns)
-                em.phase = None
-                emit = em.emit
-                for j, (t, cpu, page, w, node, loc) in enumerate(rows):
-                    em.index = idx_list[j]
-                    emit(
-                        MissServiced(
-                            t=t, cpu=cpu, page=page, node=node, weight=w,
-                            latency_ns=lat_l if loc else lat_r,
-                            remote=not loc,
-                        )
-                    )
 
         # 4. Streaming (and any traced run): the interval may continue
         # into the next chunk, so cold pages' counted sums must land in
@@ -464,40 +441,21 @@ class _VectorEngine:
         # that only later becomes a candidate — read them).  Traced runs
         # also need them so IntervalReset.tracked_pages matches the
         # scalar core, which records every counted event.
-        if writeback and have_pairs:
-            cold_pair = ~flag[upages] if len(cand) else np.ones(len(upages), bool)
-            if cold_pair.any():
-                bank_record = self.bank.record
-                for page, cpu, s in zip(
-                    upages[cold_pair].tolist(),
-                    ucpus[cold_pair].tolist(),
-                    sums[cold_pair].astype(np.int64).tolist(),
-                ):
-                    bank_record(page, cpu, s, False)
-                wrec = rec & iswrite
-                wrec_pages = pages[wrec]
-                if len(wrec_pages):
-                    cold_w = ~flag[wrec_pages] if len(cand) else np.ones(
-                        len(wrec_pages), bool
-                    )
-                    if cold_w.any():
-                        wu, winv = np.unique(
-                            wrec_pages[cold_w], return_inverse=True
-                        )
-                        wsums = np.bincount(
-                            winv, weights=counted[wrec][cold_w]
-                        ).astype(np.int64)
-                        add_writes = self.bank.add_writes
-                        for page, s in zip(wu.tolist(), wsums.tolist()):
-                            add_writes(page, s)
-        elif em is not None and have_pairs:
-            # Traced, non-streaming: the interval ends with this segment,
-            # so no later act or carry can read the cold counters — only
-            # ``IntervalReset.tracked_pages`` needs them.  Count the cold
-            # pages instead of materializing their counters (the scalar
-            # core tracks every counted page, hot or cold).
-            cold_pair = ~flag[upages] if len(cand) else np.ones(len(upages), bool)
-            if cold_pair.any():
+        if have_pairs and (writeback or em is not None):
+            cold_pair = ~flag[upages]
+            if writeback:
+                wrec = rec & iswrite & ~hot
+                write_back_counts(
+                    self.bank, upages[cold_pair], ucpus[cold_pair],
+                    sums[cold_pair], pages[wrec], counted[wrec],
+                )
+            elif cold_pair.any():
+                # Traced, non-streaming: the interval ends with this
+                # segment, so no later act or carry can read the cold
+                # counters — only ``IntervalReset.tracked_pages`` needs
+                # them.  Count the cold pages instead of materializing
+                # their counters (the scalar core tracks every counted
+                # page, hot or cold).
                 self._cold_tracked.update(
                     np.unique(upages[cold_pair]).tolist()
                 )
@@ -513,10 +471,10 @@ class _VectorEngine:
                 if page not in copies:
                     copies[page] = self._set_from_mask(int(masks[page]))
                 dirty.add(page)
+            self._seg_times = times
+            self._seg_gstart = gstart
             if hot.any():
                 idx = np.flatnonzero(hot)
-                self._seg_times = times
-                self._seg_gstart = gstart
                 self._replay_hot(
                     times[idx].tolist(), cpus[idx].tolist(),
                     pages[idx].tolist(), weights[idx].tolist(),
@@ -531,23 +489,32 @@ class _VectorEngine:
             # this segment's times are at hand.  (State-identical to
             # the deferred drain: the skipped-over records are all cold
             # and cold events never touch a candidate page.)
-            if em is not None and self.pending:
-                last_t = int(times[-1])
-                pending = self.pending
-                dirty = self._dirty
-                act = self._act
-                while pending and pending[0][0] <= last_t:
-                    due, page, cpu = pending.popleft()
-                    dirty.add(page)
-                    em.index = gstart + int(
-                        np.searchsorted(times, due, side="left")
-                    )
-                    em.phase = 0
-                    act(due, page, cpu)
-                em.phase = None
+            if em is not None:
+                self._drain_due(int(times[-1]))
             # 6. Publish placement changes so the next segment's masks
             # (cold accounting + candidate detection) see them.
             self._writeback_dirty()
+
+    def _drain_due(self, until: int) -> None:
+        """Act on the pending interrupts due by ``until``.
+
+        The scalar core drains an action at the first record (of any
+        temperature) whose time reaches the due time, so that record's
+        index in the current segment orders a traced emission.
+        """
+        pending = self.pending
+        em = self.em
+        while pending and pending[0][0] <= until:
+            due, page, cpu = pending.popleft()
+            self._dirty.add(page)
+            if em is not None:
+                em.index = self._seg_gstart + int(
+                    np.searchsorted(self._seg_times, due, side="left")
+                )
+                em.phase = 0
+            self._act(due, page, cpu)
+        if em is not None:
+            em.phase = None
 
     def _replay_hot(self, t, c, p, w, iw, cf, cn, gx=None) -> None:
         """The scalar core, over candidate-page events only.
@@ -568,25 +535,14 @@ class _VectorEngine:
         op_cost = self.op_cost
         trigger = self.trigger
         delay = self.delay
-        act = self._act
         record = bank.record
         em = self.em
         emit_miss = self.emit_miss
-        seg_times = self._seg_times
-        seg_gstart = self._seg_gstart
+        drain_due = self._drain_due
         for k in range(len(t)):
             time = t[k]
-            while pending and pending[0][0] <= time:
-                due, hot_page, hot_cpu = pending.popleft()
-                if em is not None:
-                    # The scalar core drains this action at the first
-                    # record (of any temperature) whose time reaches the
-                    # due time — that record's index orders the emission.
-                    em.index = seg_gstart + int(
-                        np.searchsorted(seg_times, due, side="left")
-                    )
-                    em.phase = 0
-                act(due, hot_page, hot_cpu)
+            if pending and pending[0][0] <= time:
+                drain_due(time)
             page = p[k]
             cpu = c[k]
             page_copies = copies[page]
@@ -656,140 +612,45 @@ class _VectorEngine:
 # -- public entry points --------------------------------------------------------
 
 
-def replay_dynamic_vector(
-    config,
-    trace,
-    params,
-    result,
-    placement: np.ndarray,
-    sampling_rate: int = 1,
-    driver_trace=None,
-    profiler=None,
-    tracer=None,
-) -> None:
-    """Vectorized equivalent of the scalar whole-trace dynamic replay.
-
-    ``params`` must already be scaled for sampling (the caller does this
-    for both engines).  With ``driver_trace`` the cost and driver
-    streams are merged by a stable sort — cost events win timestamp
-    ties, exactly like the scalar two-pointer merge.  ``profiler``
-    times the batch replay; spans touch no simulation state, so the
-    result stays byte-identical with profiling on.  An active ``tracer``
-    receives the scalar core's exact event sequence via batched
-    emission.
-    """
-    prof = as_profiler(profiler)
-    engine = _VectorEngine(
-        config, params, result, sampling_rate, placement=placement,
-        tracer=tracer,
-    )
-    if driver_trace is None:
-        n = len(trace)
-        ones = np.ones(n, dtype=bool)
-        with prof.span("fastpath.batch", items=n):
-            engine.run_batch(
-                trace.time_ns, trace.cpu, trace.page, trace.weight,
-                trace.is_write, ones, ones, streaming=False,
-            )
-    else:
-        cost, driver = trace, driver_trace
-        if cost.meta is not driver.meta and cost.meta is not None:
-            if driver.meta is not None and cost.meta.name != driver.meta.name:
-                raise TraceError(
-                    "cost and driver traces are from different workloads"
-                )
-        n_cost, n_driver = len(cost), len(driver)
-        times = np.concatenate([cost.time_ns, driver.time_ns])
-        order = np.argsort(times, kind="stable")
-        costmask = np.concatenate(
-            [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
-        )[order]
-        with prof.span("fastpath.batch", items=n_cost + n_driver):
-            engine.run_batch(
-                times[order],
-                np.concatenate([cost.cpu, driver.cpu])[order],
-                np.concatenate([cost.page, driver.page])[order],
-                np.concatenate([cost.weight, driver.weight])[order],
-                np.concatenate([cost.is_write, driver.is_write])[order],
-                costmask,
-                ~costmask,
-                streaming=False,
-            )
-    engine.finish()
-
-
-def replay_chunks_vector(
-    config,
-    chunks,
-    params,
-    result,
-    initial_kind: Optional[str],
-    sampling_rate: int = 1,
-    profiler=None,
-    tracer=None,
-    placement: Optional[np.ndarray] = None,
-) -> None:
-    """Vectorized streaming replay over time-ordered trace chunks.
-
-    ``initial_kind`` is ``"ft"`` (first-touch) or ``"rr"``
-    (round-robin), or ``None`` when ``placement`` supplies a full
-    initial placement array (the post-facto two-pass path: the caller
-    streams the chunks once to majority-count them, then replays here).
-    Bank counters, armed pages, pending interrupts and sampling carries
-    flow across chunk boundaries, so the streamed result is
-    byte-identical to the whole-trace replay.  ``profiler`` gets one
-    ``replay.chunk`` span per chunk.
-    """
-    prof = as_profiler(profiler)
-    engine = _VectorEngine(
-        config, params, result, sampling_rate,
-        placement=placement, initial_kind=initial_kind,
-        tracer=tracer,
-    )
-    for chunk in chunks:
-        n = len(chunk)
-        ones = np.ones(n, dtype=bool)
-        with prof.span("replay.chunk", items=n):
-            engine.run_batch(
-                chunk.time_ns, chunk.cpu, chunk.page, chunk.weight,
-                chunk.is_write, ones, ones, streaming=True,
-            )
-    engine.finish()
-
-
-def replay_batches_vector(
+def replay_vector(
     config,
     batches,
     params,
     result,
-    initial_kind: Optional[str],
     sampling_rate: int = 1,
+    placement: Optional[np.ndarray] = None,
+    initial_kind: Optional[str] = None,
+    streaming: bool = True,
     profiler=None,
     tracer=None,
-    placement: Optional[np.ndarray] = None,
 ) -> None:
-    """Vectorized streaming replay over pre-merged column batches.
+    """Vectorized equivalent of the scalar dynamic replay.
 
-    Each batch is a ``(times, cpus, pages, weights, iswrite, costmask)``
-    tuple of aligned arrays — the shape
-    :func:`repro.trace.tlbsim.merged_tlb_stream` yields, where TLB-miss
-    driver events (``costmask`` False) are interleaved with the cost
-    stream in exact scalar merge order.  Driver events count toward
-    triggers but carry no stall; cost events do both.  ``initial_kind``
-    and ``placement`` behave as in :func:`replay_chunks_vector`.
+    ``batches`` yields time-ordered ``(times, cpus, pages, weights,
+    is_write, costmask)`` column tuples; see
+    :meth:`_VectorEngine.run_batch` for ``costmask``.  A whole trace is
+    one batch with ``streaming=False`` (its bulk sums never need the
+    bank); streamed chunks carry bank counters, armed pages, pending
+    interrupts and sampling carries across batch boundaries, so the
+    result is byte-identical to the whole-trace replay.
+
+    ``placement`` is a full initial page -> node array; without it
+    pages are placed on first sight, by ``initial_kind`` ``"ft"``
+    (first-touch) or ``"rr"`` (round-robin).  ``params`` must already
+    be scaled for sampling (the caller does this for both engines).
+    ``profiler`` gets one span per batch; spans touch no simulation
+    state.  An active ``tracer`` receives the scalar core's exact event
+    sequence via batched emission.
     """
     prof = as_profiler(profiler)
     engine = _VectorEngine(
         config, params, result, sampling_rate,
-        placement=placement, initial_kind=initial_kind,
-        tracer=tracer,
+        placement=placement, initial_kind=initial_kind, tracer=tracer,
     )
-    for times, cpus, pages, weights, iswrite, costmask in batches:
-        with prof.span("replay.chunk", items=len(times)):
-            engine.run_batch(
-                times, cpus, pages, weights, iswrite,
-                costmask, ~costmask, streaming=True,
-            )
+    span = "replay.chunk" if streaming else "fastpath.batch"
+    for batch in batches:
+        with prof.span(span, items=len(batch[0])):
+            engine.run_batch(*batch, streaming=streaming)
     engine.finish()
 
 
@@ -828,10 +689,10 @@ def replay_competitive_vector(
         remote = placement[pages] != cpu_nodes[cpus]
         rsel = np.flatnonzero(remote)
         if len(rsel):
-            keys = pages[rsel] * config.n_cpus + cpus[rsel]
-            u, inv = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inv, weights=weights[rsel])
-            cand_pages = np.unique((u // config.n_cpus)[sums >= core.break_even])
+            upages, _, sums = pair_sums(
+                pages[rsel], cpus[rsel], config.n_cpus, weights[rsel]
+            )
+            cand_pages = np.unique(upages[sums >= core.break_even])
         else:
             cand_pages = np.zeros(0, dtype=np.int64)
         if len(cand_pages):
@@ -845,18 +706,11 @@ def replay_competitive_vector(
         # (no replication can fire, and collapses only drop replicas of
         # replicated — hence candidate — pages).
         cold = ~hot
-        cw = weights[cold]
-        if len(cw):
-            local = ~remote[cold]
-            total_w = int(cw.sum())
-            local_w = int((cw * local).sum())
-            result.total_misses += total_w
-            result.local_misses += local_w
-            result.stall_ns += float(
-                local_w * config.local_ns
-                + (total_w - local_w) * config.remote_ns
+        if cold.any():
+            core.local_stall += charge_cold(
+                result, weights[cold], ~remote[cold],
+                config.local_ns, config.remote_ns,
             )
-            core.local_stall += float(local_w * config.local_ns)
 
         # Hot: replay candidate pages' events, one page at a time.  The
         # watermark machine's state (copies, written flag, per-CPU

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Set
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import ConfigurationError
 from repro.common.units import US
 from repro.machine.directory import MissCounterBank, SamplingAccumulator
 from repro.obs.events import (
@@ -49,6 +49,7 @@ from repro.policy.placement import (
 )
 from repro.sim.results import RESULT_SCHEMA_VERSION, check_schema
 from repro.trace.record import Trace
+from repro.trace.segments import check_same_workload, data_columns, merge_streams
 from repro.trace.tlbsim import derive_tlb_trace, merged_tlb_stream
 
 
@@ -61,7 +62,7 @@ class StaticPolicy(enum.Enum):
 
 
 #: Valid values of :attr:`PolicySimConfig.engine`.
-REPLAY_ENGINES = ("auto", "scalar", "vector")
+REPLAY_ENGINES = ("scalar", "vector")
 
 
 def _engine_from_env() -> str:
@@ -72,7 +73,7 @@ def _engine_from_env() -> str:
     the engine chosen on the driver's command line with no extra
     plumbing (the environment is inherited across the pool).
     """
-    return os.environ.get("REPRO_REPLAY_ENGINE", "auto")
+    return os.environ.get("REPRO_REPLAY_ENGINE", "vector")
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,15 @@ class PolicySimConfig:
     the granularity at which PT pages are homed and replicated."""
 
     engine: str = field(default_factory=_engine_from_env)
-    """Dynamic-replay engine: ``"auto"``, ``"scalar"`` or ``"vector"``.
+    """Dynamic-replay engine: ``"vector"`` or ``"scalar"``.
 
-    ``"vector"`` selects the segmented batch engines of
-    :mod:`repro.trace.fastpath` and :mod:`repro.ptpol.fastpath`
-    (byte-identical results — event logs included, emitted through the
-    batched buffer of :mod:`repro.obs.batch` — and much faster);
-    ``"auto"`` (the default, overridable via ``REPRO_REPLAY_ENGINE``)
-    always picks the vector engine.  ``"scalar"`` pins the reference
-    core, mainly for the differential suites and for debugging.
+    ``"vector"`` (the default, overridable via ``REPRO_REPLAY_ENGINE``)
+    selects the segmented batch engines of :mod:`repro.trace.fastpath`
+    and :mod:`repro.ptpol.fastpath` (byte-identical results — event
+    logs included, emitted through the batched buffer of
+    :mod:`repro.obs.batch` — and much faster).  ``"scalar"`` pins the
+    reference core, mainly for the differential suites and for
+    debugging.
     """
 
     def __post_init__(self) -> None:
@@ -455,26 +456,19 @@ class TracePolicySimulator:
         )
 
     def _resolve_engine(self, path: str = "dynamic") -> str:
-        """Pick the replay engine for this run.
+        """The configured replay engine, counted in the metrics registry.
 
-        Every replay path now has a vectorized twin, and an active
-        tracer composes with the vector engines through batched
-        emission (:mod:`repro.obs.batch`), so ``auto`` simply picks
-        ``vector`` — there is no tracer-driven fallback and no
-        vector+tracer error any more.  The choice lands in the
-        aggregate ``replay.engine.<engine>`` counter and the per-path
-        ``replay.engine.<path>.<engine>`` counter when a metrics
-        registry is attached (``path`` is ``"dynamic"``, ``"chunks"``
-        or ``"competitive"``; :mod:`repro.ptpol` counts under
-        ``"ptpol"``); the historical ``replay.engine.fallback`` counter
-        stays at zero.
+        The choice lands in the aggregate ``replay.engine.<engine>``
+        counter and the per-path ``replay.engine.<path>.<engine>``
+        counter when a metrics registry is attached (``path`` is
+        ``"dynamic"``, ``"chunks"`` or ``"competitive"``;
+        :mod:`repro.ptpol` counts under ``"ptpol"``).
         """
         engine = self.config.engine
-        choice = "vector" if engine == "auto" else engine
         if self.metrics is not None:
-            self.metrics.counter(f"replay.engine.{choice}").inc()
-            self.metrics.counter(f"replay.engine.{path}.{choice}").inc()
-        return choice
+            self.metrics.counter(f"replay.engine.{engine}").inc()
+            self.metrics.counter(f"replay.engine.{path}.{engine}").inc()
+        return engine
 
     # -- static policies ----------------------------------------------------------
 
@@ -563,6 +557,8 @@ class TracePolicySimulator:
         cfg = self.config
         if metric.uses_tlb and driver_trace is None:
             driver_trace = derive_tlb_trace(trace, n_cpus=cfg.n_cpus)
+        if driver_trace is not None:
+            check_same_workload(trace, driver_trace)
         if metric.sampling_rate > 1:
             params = params.scaled_for_sampling(metric.sampling_rate)
         result = PolicySimResult(label=label or self._default_label(params, metric))
@@ -577,10 +573,17 @@ class TracePolicySimulator:
                 from repro.trace import fastpath
 
                 with profiler.span("engine.vector", items=n_events):
-                    fastpath.replay_dynamic_vector(
-                        self.config, trace, params, result, placement,
+                    if driver_trace is None:
+                        batch = (*data_columns(trace), None)
+                    else:
+                        batch = merge_streams(
+                            data_columns(trace), data_columns(driver_trace)
+                        )
+                    fastpath.replay_vector(
+                        self.config, [batch], params, result,
                         sampling_rate=metric.sampling_rate,
-                        driver_trace=driver_trace,
+                        placement=placement,
+                        streaming=False,
                         profiler=profiler,
                         tracer=self.tracer,
                     )
@@ -671,27 +674,19 @@ class TracePolicySimulator:
             if engine == "vector":
                 from repro.trace import fastpath
 
+                if metric.uses_tlb:
+                    batches = merged_tlb_stream(stream, cfg.n_cpus)
+                else:
+                    batches = ((*data_columns(c), None) for c in stream)
                 with profiler.span("engine.vector") as engine_span:
-                    if metric.uses_tlb:
-                        fastpath.replay_batches_vector(
-                            self.config,
-                            merged_tlb_stream(stream, cfg.n_cpus),
-                            params, result,
-                            initial_kind=initial_kind,
-                            sampling_rate=metric.sampling_rate,
-                            profiler=profiler,
-                            tracer=self.tracer,
-                            placement=placement,
-                        )
-                    else:
-                        fastpath.replay_chunks_vector(
-                            self.config, stream, params, result,
-                            initial_kind=initial_kind,
-                            sampling_rate=metric.sampling_rate,
-                            profiler=profiler,
-                            tracer=self.tracer,
-                            placement=placement,
-                        )
+                    fastpath.replay_vector(
+                        self.config, batches, params, result,
+                        sampling_rate=metric.sampling_rate,
+                        placement=placement,
+                        initial_kind=initial_kind,
+                        profiler=profiler,
+                        tracer=self.tracer,
+                    )
                     engine_span.add_items(result.total_misses)
                 run_span.add_items(result.total_misses)
                 return result
@@ -943,9 +938,6 @@ class TracePolicySimulator:
         policy acting on an event never retroactively cheapens the miss
         that produced it.
         """
-        if cost.meta is not driver.meta and cost.meta is not None:
-            if driver.meta is not None and cost.meta.name != driver.meta.name:
-                raise TraceError("cost and driver traces are from different workloads")
         i = j = 0
         n_cost, n_driver = len(cost), len(driver)
         c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()

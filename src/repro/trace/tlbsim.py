@@ -30,6 +30,7 @@ from repro.common.errors import TraceError
 from repro.machine.config import TlbConfig
 from repro.machine.tlb import Tlb
 from repro.trace.record import FLAG_INSTR, FLAG_KERNEL, Trace, TraceBuilder
+from repro.trace.segments import data_columns, merge_streams
 
 DEFAULT_TLB_FACTOR = 0.3
 
@@ -167,8 +168,8 @@ def merged_tlb_stream(
     weights, is_write, costmask)`` column batches — ``costmask`` True
     for cache-miss (stall-charging) records, False for derived TLB
     (counter-driving) records — ready for
-    :func:`repro.trace.fastpath.replay_batches_vector` or a scalar
-    event wrapper.
+    :func:`repro.trace.fastpath.replay_vector` or a scalar event
+    wrapper.
 
     A derived record whose timestamp reaches the chunk's last cost
     timestamp is *held back* and merged with a later batch: a future
@@ -184,10 +185,7 @@ def merged_tlb_stream(
         derived = deriver.feed(chunk)
         if not len(chunk):
             continue
-        pool: Tuple[np.ndarray, ...] = (
-            derived.time_ns, derived.cpu, derived.page,
-            derived.weight, derived.is_write,
-        )
+        pool = data_columns(derived)
         if carry is not None:
             pool = tuple(
                 np.concatenate([c, d]) for c, d in zip(carry, pool)
@@ -196,24 +194,6 @@ def merged_tlb_stream(
         ready = pool[0] < last_cost_t
         now = tuple(col[ready] for col in pool)
         carry = tuple(col[~ready] for col in pool)
-        n_cost, n_driver = len(chunk), len(now[0])
-        times = np.concatenate([chunk.time_ns, now[0]])
-        # Stable sort with cost columns first: at equal timestamps the
-        # cost record precedes the driver record, like the scalar merge.
-        order = np.argsort(times, kind="stable")
-        costmask = np.concatenate(
-            [np.ones(n_cost, dtype=bool), np.zeros(n_driver, dtype=bool)]
-        )[order]
-        yield (
-            times[order],
-            np.concatenate([chunk.cpu, now[1]])[order],
-            np.concatenate([chunk.page, now[2]])[order],
-            np.concatenate([chunk.weight, now[3]])[order],
-            np.concatenate([chunk.is_write, now[4]])[order],
-            costmask,
-        )
+        yield merge_streams(data_columns(chunk), now)
     if carry is not None and len(carry[0]):
-        yield (
-            carry[0], carry[1], carry[2], carry[3], carry[4],
-            np.zeros(len(carry[0]), dtype=bool),
-        )
+        yield (*carry, np.zeros(len(carry[0]), dtype=bool))

@@ -26,7 +26,6 @@ from repro.obs.attrib import (
 )
 from repro.obs.events import (
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -35,6 +34,7 @@ from repro.obs.events import (
     ReplicationDecision,
     RunMeta,
     ShootdownEvent,
+    SpanEvent,
 )
 from repro.obs.tracer import Tracer
 
@@ -380,11 +380,6 @@ class TestSinkAndMeta:
         assert rec.misses_after == 7
         assert a.nodes[0].serviced == 11  # serviced-by still tracked
 
-    def test_engine_fallback_counted(self):
-        a = build([EngineFallback(t=0, requested="auto", chosen="scalar",
-                                  reason="active tracer")])
-        assert a.engine_fallbacks == 1
-
 
 class TestDiff:
     def test_identical_streams_diff_to_zero(self):
@@ -397,8 +392,7 @@ class TestDiff:
 
     def test_metadata_differences_do_not_diverge(self):
         events = TestConservation().stream()
-        b_events = [EngineFallback(t=0, requested="auto", chosen="scalar",
-                                   reason="tracer")] + events
+        b_events = [SpanEvent(t=0, name="engine.vector", dur_ns=1)] + events
         assert diff_attributions(build(events), build(b_events)).is_identical
 
     def test_divergence_ranked_by_stall_delta(self):

@@ -9,7 +9,6 @@ from repro.common.errors import TraceError
 from repro.obs.events import (
     EVENT_TYPES,
     CollapseEvent,
-    EngineFallback,
     HotPageTriggered,
     IntervalReset,
     MigrationDecision,
@@ -61,8 +60,6 @@ SAMPLE_EVENTS = [
     IntervalReset(t=800, index=0, tracked_pages=5, triggers=2),
     TriggerAdjusted(t=900, old_trigger=128, new_trigger=64,
                     overhead_fraction=0.01, remote_fraction=0.4),
-    EngineFallback(t=0, requested="auto", chosen="scalar",
-                   reason="active tracer"),
     PtReplicate(t=950, process=3, cpu=5, pt_page=2, node=1, src=0,
                 walks=64, reason="walk-trigger", latency_ns=310_000.0),
     ThreadMigrate(t=960, process=3, cpu=5, src=1, dst=0,
@@ -88,8 +85,11 @@ class TestDictRoundTrip:
         assert next(iter(data)) == "kind"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(TraceError):
-            event_from_dict({"kind": "bogus", "t": 0})
+        # ``engine-fallback`` is a retired kind: old logs holding it are
+        # rejected like any other unknown kind, not skipped.
+        for kind in ("bogus", "engine-fallback"):
+            with pytest.raises(TraceError, match="unknown event kind"):
+                event_from_dict({"kind": kind, "t": 0})
 
     def test_bad_field_rejected(self):
         with pytest.raises(TraceError):
@@ -194,12 +194,12 @@ class TestChromeTrace:
     def test_structure(self, tmp_path):
         payload = to_chrome_trace(SAMPLE_EVENTS)
         events = payload["traceEvents"]
-        # 6 instant kinds + 1 interval slice + 1 profiler span
+        # 5 instant kinds + 1 interval slice + 1 profiler span
         # (miss/shootdown/trigger skipped).
-        assert len(events) == 8
+        assert len(events) == 7
         instants = [e for e in events if e["ph"] == "i"]
         slices = [e for e in events if e["ph"] == "X"]
-        assert len(instants) == 6
+        assert len(instants) == 5
         assert len(slices) == 2
         interval = next(e for e in slices if e["tid"] == -1)
         assert interval["ts"] == 0.0
@@ -228,7 +228,7 @@ class TestChromeTrace:
         written = write_chrome_trace(SAMPLE_EVENTS, path)
         with open(path) as fh:
             payload = json.load(fh)
-        assert written == len(payload["traceEvents"]) == 8
+        assert written == len(payload["traceEvents"]) == 7
 
 
 class TestIntervalSummary:

@@ -7,9 +7,11 @@ cost (data-miss) and driver (TLB-miss) traces so the expected counters
 are small integers computed by hand.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, TraceError
 from repro.obs.events import MissServiced, PtReplicate, ThreadMigrate
 from repro.obs.tracer import Tracer
 from repro.policy.parameters import PolicyParameters
@@ -251,19 +253,31 @@ class TestEngineParity:
             results[engine] = (dict(vars(result)), tally)
         assert results["scalar"] == results["vector"]
 
-    def test_auto_engine_picks_the_vector_core(self):
+    def test_vector_engine_runs_the_vector_core(self):
         cost = _trace([(0, 0, 0, 0, 1)])
         driver = _trace([(10, 1, 1, 1, 1)])
         from repro.obs.registry import MetricsRegistry
 
         metrics = MetricsRegistry()
         result, tally = simulate_ptpol(
-            cost, "ptft", config=_config(engine="auto"),
+            cost, "ptft", config=_config(engine="vector"),
             driver_trace=driver, metrics=metrics,
         )
         assert tally.walks == 1
         assert result.total_misses == 1
         assert metrics.counter("replay.engine.ptpol.vector").value == 1
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_driver_from_another_workload_rejected(self, engine):
+        cost = _trace([(0, 0, 0, 0, 1)])
+        driver = _trace([(10, 1, 1, 1, 1)])
+        cost.meta = SimpleNamespace(name="engineering")
+        driver.meta = SimpleNamespace(name="database")
+        with pytest.raises(TraceError, match="different workloads"):
+            simulate_ptpol(
+                cost, "ptft", config=_config(engine=engine),
+                driver_trace=driver,
+            )
 
     def test_data_replication_parameters_are_rejected(self):
         # No PT-family policy enables data replication; the vector

@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_tracesim_trace_out(tmp_path, capsys):
     assert events
     assert {e.KIND for e in events} <= {
         "hot-page", "migration", "replication", "no-action",
-        "collapse", "interval-reset", "engine-fallback", "run-meta",
+        "collapse", "interval-reset", "run-meta",
     }
     assert events[0].KIND == "run-meta"
 
@@ -242,6 +243,19 @@ def test_ptsim_vector_engine(capsys):
     out = capsys.readouterr().out
     for label in ("PT-FT", "PT-Migr", "PT-Repl", "CoPlace"):
         assert label in out
+
+
+@pytest.mark.parametrize("command", ["tracesim", "ptsim"])
+def test_retired_auto_engine_is_a_one_line_error(command, monkeypatch,
+                                                 capsys):
+    monkeypatch.setenv("REPRO_REPLAY_ENGINE", "auto")
+    assert main([command, "--workload", "database", "--scale", "0.02"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown replay engine 'auto'")
+    assert err.count("\n") == 1
+    monkeypatch.delenv("REPRO_REPLAY_ENGINE")
+    with pytest.raises(SystemExit):
+        main([command, "--workload", "database", "--engine", "auto"])
 
 
 def _sweep_args(tmp_path, *extra):
@@ -287,6 +301,18 @@ def test_sweep_no_cache(tmp_path, capsys):
         stats = json.load(fh)
     assert stats["cache"] is None
     assert stats["executed"] == 1
+
+
+def test_sweep_progress_labels_misses_per_second(tmp_path, capsys):
+    # The progress rate divides weighted misses by task wall time, so it
+    # is labelled as misses, not records or events.
+    assert main(_sweep_args(
+        tmp_path, "--workloads", "database", "--kind", "trace",
+        "--policies", "migrep", "--no-cache",
+    )) == 0
+    err = capsys.readouterr().err
+    assert re.search(r"\(ran [0-9.]+s, [0-9,]+ misses/s\)", err)
+    assert "events/s" not in err
 
 
 def test_sweep_trigger_list(tmp_path, capsys):
@@ -690,10 +716,10 @@ class TestProfileOut:
 
 @pytest.fixture(scope="module")
 def analyze_logs(tmp_path_factory):
-    """Scalar- and auto-engine miss-traced logs of the same tracesim run."""
+    """Scalar- and vector-engine miss-traced logs of the same tracesim run."""
     tmp = tmp_path_factory.mktemp("cli-analyze")
     paths = {}
-    for engine in ("scalar", "auto"):
+    for engine in ("scalar", "vector"):
         path = str(tmp / f"{engine}.jsonl")
         assert main([
             "tracesim", "--workload", "database", "--scale", "0.05",
@@ -765,9 +791,9 @@ class TestAnalyzeCommand:
         assert counters["traceEvents"]
         assert {c["ph"] for c in counters["traceEvents"]} == {"C"}
 
-    def test_diff_scalar_vs_auto_is_identical(self, analyze_logs, capsys):
+    def test_diff_scalar_vs_vector_is_identical(self, analyze_logs, capsys):
         assert main([
-            "analyze", "diff", analyze_logs["scalar"], analyze_logs["auto"],
+            "analyze", "diff", analyze_logs["scalar"], analyze_logs["vector"],
         ]) == 0
         out = capsys.readouterr().out
         assert "identical at page granularity" in out
@@ -792,7 +818,7 @@ class TestAnalyzeCommand:
 
     def test_too_many_logs_is_usage_error(self, analyze_logs, capsys):
         assert main([
-            "analyze", analyze_logs["scalar"], analyze_logs["auto"],
+            "analyze", analyze_logs["scalar"], analyze_logs["vector"],
         ]) == 2
         assert "error:" in capsys.readouterr().err
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.obs.events import EngineFallback
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.policy.metrics import (
@@ -322,17 +321,23 @@ class TestEngineSelection:
     def params(self):
         return PolicyParameters(trigger_threshold=16, sharing_threshold=4)
 
-    def test_engine_validation(self):
-        with pytest.raises(ConfigurationError):
-            PolicySimConfig(engine="turbo")
+    def test_engine_validation(self, monkeypatch):
+        assert REPLAY_ENGINES == ("scalar", "vector")
+        for bad in ("turbo", "auto"):
+            with pytest.raises(ConfigurationError):
+                PolicySimConfig(engine=bad)
         for engine in REPLAY_ENGINES:
             assert PolicySimConfig(engine=engine).engine == engine
+        # The retired ``auto`` value is rejected from the environment too.
+        monkeypatch.setenv("REPRO_REPLAY_ENGINE", "auto")
+        with pytest.raises(ConfigurationError, match="unknown replay engine"):
+            PolicySimConfig()
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_REPLAY_ENGINE", "scalar")
         assert PolicySimConfig().engine == "scalar"
         monkeypatch.delenv("REPRO_REPLAY_ENGINE")
-        assert PolicySimConfig().engine == "auto"
+        assert PolicySimConfig().engine == "vector"
 
     def test_vector_with_tracer_runs_and_matches_scalar(self):
         trace = random_trace(np.random.default_rng(0), n_events=800)
@@ -346,10 +351,10 @@ class TestEngineSelection:
             logs[engine] = (result.to_dict(), events_normalized(sim.tracer))
         assert logs["scalar"] == logs["vector"]
 
-    def test_auto_with_tracer_stays_vector(self):
+    def test_vector_with_tracer_is_counted_and_matches_scalar(self):
         registry = MetricsRegistry()
         sim = TracePolicySimulator(
-            PolicySimConfig(n_cpus=8, n_nodes=4, engine="auto"),
+            PolicySimConfig(n_cpus=8, n_nodes=4, engine="vector"),
             tracer=Tracer(capacity=1 << 16),
             metrics=registry,
         )
@@ -360,14 +365,6 @@ class TestEngineSelection:
         ).simulate_dynamic(trace, self.params())
         assert traced.to_dict() == plain.to_dict()
         assert registry.counter("replay.engine.vector").value == 1
-        assert registry.counter("replay.engine.fallback").value == 0
-        # No tracer-driven demotion exists any more: auto + tracer runs
-        # the vector engine and emits no EngineFallback warning.
-        fallbacks = [
-            e for e in sim.tracer.events()
-            if isinstance(e, EngineFallback)
-        ]
-        assert fallbacks == []
 
     def test_engine_choice_counted(self):
         registry = MetricsRegistry()
@@ -377,7 +374,6 @@ class TestEngineSelection:
         trace = random_trace(np.random.default_rng(4), n_events=200)
         sim.simulate_dynamic(trace, self.params())
         assert registry.counter("replay.engine.vector").value == 1
-        assert registry.counter("replay.engine.fallback").value == 0
 
     def test_competitive_runs_on_both_engines(self):
         trace = random_trace(np.random.default_rng(5), n_events=100)
@@ -388,10 +384,10 @@ class TestEngineSelection:
             )
             results[engine] = sim.simulate_competitive(trace).to_dict()
         assert results["scalar"] == results["vector"]
-        # auto picks the vector competitive path.
+        # The default engine takes the vector competitive path.
         registry = MetricsRegistry()
-        auto = TracePolicySimulator(
+        default = TracePolicySimulator(
             PolicySimConfig(n_cpus=8, n_nodes=4), metrics=registry
         )
-        assert auto.simulate_competitive(trace).label == "Competitive"
+        assert default.simulate_competitive(trace).label == "Competitive"
         assert registry.counter("replay.engine.competitive.vector").value == 1

@@ -1,8 +1,10 @@
 """Trace-driven policy simulator (Section 8)."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, TraceError
 from repro.policy.metrics import FULL_TLB, SAMPLED_CACHE
 from repro.policy.parameters import PolicyParameters
 from repro.trace.policysim import (
@@ -170,6 +172,20 @@ class TestMetrics:
             ).label
             == "Migr"
         )
+
+
+class TestDriverTrace:
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_driver_from_another_workload_rejected(self, engine):
+        cost = build([(0, 0, 0, 1)])
+        driver = build([(10, 1, 1, 1)])
+        cost.meta = SimpleNamespace(name="engineering")
+        driver.meta = SimpleNamespace(name="database")
+        sim = TracePolicySimulator(
+            PolicySimConfig(n_cpus=4, n_nodes=4, engine=engine)
+        )
+        with pytest.raises(TraceError, match="different workloads"):
+            sim.simulate_dynamic(cost, fast_params(), driver_trace=driver)
 
 
 class TestResultArithmetic:
