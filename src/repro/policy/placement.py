@@ -48,17 +48,11 @@ def first_touch_placement(
         return placement
     n_cpus = int(trace.cpu.max()) + 1
     cpu_nodes = _node_of_cpu_array(n_cpus, node_of_cpu)
-    # First occurrence of each page in time order (trace is sorted).
-    first_idx = np.full(n_pages, -1, dtype=np.int64)
-    pages = trace.page
-    # np.unique returns first indices for the *sorted* unique values; we
-    # need first in time order, which a reverse pass gives us cheaply.
-    for i in range(len(pages) - 1, -1, -1):
-        first_idx[pages[i]] = i
-    touched = first_idx >= 0
-    placement[touched] = cpu_nodes[trace.cpu[first_idx[touched]]]
+    # Each distinct page's first index in array (= time) order.
+    pages, first_idx = np.unique(trace.page, return_index=True)
     # Untouched page ids fall back to RR so the array is total.
-    placement[~touched] = np.nonzero(~touched)[0] % max(n_nodes, 1)
+    placement[:] = np.arange(len(placement)) % max(n_nodes, 1)
+    placement[pages] = cpu_nodes[trace.cpu[first_idx]]
     return placement
 
 

@@ -7,7 +7,10 @@ level down the translation path — almost no PT page's walk counter
 crosses the walk trigger either — so the PT-family replay
 (:class:`repro.ptpol.sim.PtPolicySimulator`) gets the same treatment:
 
-* the merged data-miss/walk stream is cut into *interval segments*:
+* the merged data-miss/walk stream — the one batch
+  :meth:`~repro.ptpol.sim.PtPolicySimulator.simulate` builds with
+  :func:`~repro.trace.segments.merge_streams`, which the scalar core
+  reads row by row — is cut into *interval segments*:
   the PT state machine clears every per-interval structure at each
   reset, so segments are exactly the reset intervals and no counter
   state carries across a boundary;
@@ -64,15 +67,16 @@ from repro.trace.segments import (
     cold_stall,
     emit_cold_misses,
     interval_segments,
-    merge_streams,
     pair_sums,
     write_back_counts,
 )
 
 
-def replay_pt_vector(sim, trace, driver, params, result) -> None:
-    """Replay ``trace`` + walk ``driver`` under one PT-family policy.
+def replay_pt_vector(sim, batch, params, result) -> None:
+    """Replay one merged data-miss/walk ``batch`` under a PT policy.
 
+    ``batch`` is the ``(times, cpus, pids, pages, weights, is_write,
+    costmask)`` stream :meth:`PtPolicySimulator.simulate` merges.
     Byte-identical to :meth:`PtPolicySimulator._replay_pt` — results,
     tally, replica table and (when tracing) the event log.
     """
@@ -92,12 +96,10 @@ def replay_pt_vector(sim, trace, driver, params, result) -> None:
         st.trace_on = True
         st.emit_miss = em.wants(MissServiced.KIND)
 
-    if len(trace) + len(driver) == 0:
+    times, cpus, pids, pages, weights, iswrite, costmask = batch
+    if len(times) == 0:
         st.finalize()
         return
-    times, cpus, pids, pages, weights, iswrite, costmask = merge_streams(
-        _pt_columns(trace), _pt_columns(driver)
-    )
     leaves = pages // sim.config.pt_span_pages
     engine = _PtSegmentEngine(st, int(pages.max()) + 1, int(leaves.max()) + 1)
     for s, e, _ in interval_segments(times, params.reset_interval_ns):
@@ -107,14 +109,6 @@ def replay_pt_vector(sim, trace, driver, params, result) -> None:
             iswrite[s:e], costmask[s:e], leaves[s:e],
         )
     engine.finish(len(times))
-
-
-def _pt_columns(trace):
-    """The PT engine's record columns: the data columns plus processes."""
-    return (
-        trace.time_ns, trace.cpu, trace.process, trace.page, trace.weight,
-        trace.is_write,
-    )
 
 
 class _PtSegmentEngine:

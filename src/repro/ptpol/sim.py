@@ -25,6 +25,12 @@ policies replay under the same walk model so their run times compare:
   page's node — whichever is cheaper under
   :class:`~repro.ptpol.costs.PtCostModel`.
 
+Data misses and walks form one record stream, merged once by
+:meth:`PtPolicySimulator.simulate` and read by either engine: data
+misses sort before walks at equal timestamps, so a PT action never
+cheapens the walk that triggered it, and a page's first record is the
+data miss that maps it (a derived walk shares its miss's timestamp).
+
 Data-page decisions run through the very same ``_pager_act`` state
 machine as the existing dynamic policies, with one twist: the CPU->node
 map is a mutable list, so a thread re-homing by the co-placement policy
@@ -68,7 +74,11 @@ from repro.trace.policysim import (
     _pager_act,
 )
 from repro.trace.record import Trace
-from repro.trace.segments import check_same_workload
+from repro.trace.segments import (
+    check_same_workload,
+    merge_streams,
+    process_columns,
+)
 from repro.trace.tlbsim import derive_tlb_trace
 
 #: The PT policy family, in presentation order.
@@ -543,21 +553,23 @@ class PtPolicySimulator(TracePolicySimulator):
         counters.  The data-page side of ``params`` behaves exactly as
         in :meth:`simulate_dynamic`.
         """
-        cfg = self.config
         engine = self._resolve_engine("ptpol")
         if driver_trace is None:
-            driver_trace = derive_tlb_trace(trace, n_cpus=cfg.n_cpus)
+            driver_trace = derive_tlb_trace(trace, n_cpus=self.config.n_cpus)
         check_same_workload(trace, driver_trace)
         result = PolicySimResult(label=label or self._pt_label(params))
         self._emit_run_meta(result.label, params, pt=True)
         n_events = len(trace) + len(driver_trace)
         with self.profiler.span("replay.ptpol", items=n_events):
+            batch = merge_streams(
+                process_columns(trace), process_columns(driver_trace)
+            )
             if engine == "vector":
                 from repro.ptpol.fastpath import replay_pt_vector
 
-                replay_pt_vector(self, trace, driver_trace, params, result)
+                replay_pt_vector(self, batch, params, result)
             else:
-                self._replay_pt(trace, driver_trace, params, result)
+                self._replay_pt(batch, params, result)
         if self.metrics is not None:
             self._register_metrics()
         return result
@@ -565,16 +577,12 @@ class PtPolicySimulator(TracePolicySimulator):
     # -- the replay core -----------------------------------------------------------
 
     def _replay_pt(
-        self,
-        trace: Trace,
-        driver: Trace,
-        params: PolicyParameters,
-        result: PolicySimResult,
+        self, batch, params: PolicyParameters, result: PolicySimResult
     ) -> None:
-        """The scalar core: one merged record at a time, in order."""
+        """The scalar core: one record of the merged batch at a time."""
         st = _PtReplayState(self, params, result)
-        for time, cpu, pid, page, weight, is_write, is_cost in (
-            self._merged_process_events(trace, driver)
+        for time, cpu, pid, page, weight, is_write, is_cost in zip(
+            *(col.tolist() for col in batch)
         ):
             st.drain(time)
             if time >= st.next_reset:
@@ -584,34 +592,6 @@ class PtPolicySimulator(TracePolicySimulator):
         st.finalize()
 
     # -- helpers -------------------------------------------------------------------
-
-    @staticmethod
-    def _merged_process_events(cost: Trace, driver: Trace):
-        """Merge data misses and walks in time order, with processes.
-
-        The PT twin of ``_merged_events``: driver (walk) events sort
-        *after* cost events at equal timestamps, so a PT action never
-        retroactively cheapens the walk that triggered it — and since
-        every derived TLB record shares a timestamp with the cache-miss
-        record that produced it, the first sighting of a page is always
-        the data miss that faults its mapping in.
-        """
-        i = j = 0
-        n_cost, n_driver = len(cost), len(driver)
-        c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()
-        c_c, d_c = cost.cpu.tolist(), driver.cpu.tolist()
-        c_pr, d_pr = cost.process.tolist(), driver.process.tolist()
-        c_p, d_p = cost.page.tolist(), driver.page.tolist()
-        c_wt, d_wt = cost.weight.tolist(), driver.weight.tolist()
-        c_w, d_w = cost.is_write.tolist(), driver.is_write.tolist()
-        while i < n_cost or j < n_driver:
-            take_cost = j >= n_driver or (i < n_cost and c_t[i] <= d_t[j])
-            if take_cost:
-                yield (c_t[i], c_c[i], c_pr[i], c_p[i], c_wt[i], c_w[i], True)
-                i += 1
-            else:
-                yield (d_t[j], d_c[j], d_pr[j], d_p[j], d_wt[j], d_w[j], False)
-                j += 1
 
     def _register_metrics(self) -> None:
         """Publish the run's tally under the ``ptpol.*`` namespace.

@@ -143,8 +143,10 @@ class NumaSystem:
         system, and counts it in the directory — possibly triggering a
         pager interrupt that fires ``pager_delay_ns`` later.
         """
-        self._advance(time_ns)
+        # The process's CPU is current before due interrupts are
+        # serviced, exactly as in the simulator's loop.
         self._last_cpu[process] = cpu
+        self._advance(time_ns)
         preferred = self.machine.node_of_cpu(cpu)
         pte = self.vm.fault(process, page, preferred)
         collapsed = False

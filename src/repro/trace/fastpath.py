@@ -38,9 +38,11 @@ per-event float accumulation bit for bit, in any order.
 
 The public entry points are :func:`replay_vector` (time-ordered
 column batches: a whole trace as one batch, streamed chunks, or the
-cost/TLB-driver merge of :func:`repro.trace.tlbsim.merged_tlb_stream`;
-intervals spanning a batch boundary carry bank/armed/pending state
-across, with cold counter sums written back to the bank) and
+cost/TLB-driver merge of :func:`repro.trace.segments.merge_streams` /
+:func:`repro.trace.tlbsim.merged_tlb_stream` — the very batches the
+scalar core reads row by row; intervals spanning a batch boundary
+carry bank/armed/pending state across, with cold counter sums written
+back to the bank) and
 :func:`replay_competitive_vector` (the [BGW89] competitive baseline).
 The segment cut, the bulk sums and the cold emission come from the
 shared kernel in :mod:`repro.trace.segments`.

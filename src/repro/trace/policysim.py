@@ -19,6 +19,7 @@ import enum
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, Optional, Set
 
 import numpy as np
@@ -554,54 +555,20 @@ class TracePolicySimulator:
         trace itself) or a TLB-miss trace derived from it (or supplied via
         ``driver_trace``), each optionally sampled.
         """
-        cfg = self.config
         if metric.uses_tlb and driver_trace is None:
-            driver_trace = derive_tlb_trace(trace, n_cpus=cfg.n_cpus)
-        if driver_trace is not None:
+            driver_trace = derive_tlb_trace(trace, n_cpus=self.config.n_cpus)
+        if driver_trace is None:
+            batch = (*data_columns(trace), None)
+        else:
             check_same_workload(trace, driver_trace)
-        if metric.sampling_rate > 1:
-            params = params.scaled_for_sampling(metric.sampling_rate)
-        result = PolicySimResult(label=label or self._default_label(params, metric))
-        placement = self.placement_for(trace, initial)
-        profiler = self.profiler
-        n_events = len(trace) + (len(driver_trace) if driver_trace is not None else 0)
-
-        self._emit_run_meta(result.label, params)
-        engine = self._resolve_engine("dynamic")
-        with profiler.span("replay.dynamic", items=n_events):
-            if engine == "vector":
-                from repro.trace import fastpath
-
-                with profiler.span("engine.vector", items=n_events):
-                    if driver_trace is None:
-                        batch = (*data_columns(trace), None)
-                    else:
-                        batch = merge_streams(
-                            data_columns(trace), data_columns(driver_trace)
-                        )
-                    fastpath.replay_vector(
-                        self.config, [batch], params, result,
-                        sampling_rate=metric.sampling_rate,
-                        placement=placement,
-                        streaming=False,
-                        profiler=profiler,
-                        tracer=self.tracer,
-                    )
-                return result
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(placement[page])
-
-            if driver_trace is None:
-                events = self._single_stream_events(trace)
-            else:
-                events = self._merged_events(trace, driver_trace)
-            with profiler.span("engine.scalar", items=n_events):
-                self._replay_dynamic(
-                    events, params, result, initial_node,
-                    sampling_rate=metric.sampling_rate,
-                )
-        return result
+            batch = merge_streams(
+                data_columns(trace), data_columns(driver_trace)
+            )
+        return self._replay_batches(
+            "dynamic", [batch], params, metric, label,
+            placement=self.placement_for(trace, initial),
+            items=len(batch[0]),
+        )
 
     def simulate_dynamic_chunks(
         self,
@@ -628,7 +595,6 @@ class TracePolicySimulator:
         TLB-driven metrics derive and merge the TLB stream chunk by
         chunk (:func:`repro.trace.tlbsim.merged_tlb_stream`).
         """
-        cfg = self.config
         if callable(chunks):
             factory = chunks
         elif isinstance(chunks, (list, tuple)):
@@ -636,23 +602,11 @@ class TracePolicySimulator:
             factory = lambda: iter(chunk_seq)  # noqa: E731
         else:
             factory = None  # one-shot iterator: single pass only
-        if metric.sampling_rate > 1:
-            params = params.scaled_for_sampling(metric.sampling_rate)
-        result = PolicySimResult(label=label or self._default_label(params, metric))
-        cpu_nodes = self._cpu_nodes
         placement: Optional[np.ndarray] = None
-        if initial is StaticPolicy.FIRST_TOUCH:
-            initial_kind: Optional[str] = "ft"
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(cpu_nodes[cpu])
-        elif initial is StaticPolicy.ROUND_ROBIN:
-            initial_kind = "rr"
-            n_nodes = cfg.n_nodes
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(page % n_nodes)
-        else:
+        initial_kind = {
+            StaticPolicy.FIRST_TOUCH: "ft", StaticPolicy.ROUND_ROBIN: "rr",
+        }.get(initial)
+        if initial_kind is None:
             if factory is None:
                 raise ConfigurationError(
                     "post-facto initial placement replays the stream "
@@ -660,50 +614,83 @@ class TracePolicySimulator:
                     "callable returning a fresh iterator) or a "
                     "sequence of chunks instead of a one-shot iterator"
                 )
-            initial_kind = None
             placement = self._post_facto_from_chunks(factory)
-            pf_placement = placement
-
-            def initial_node(page: int, cpu: int) -> int:
-                return int(pf_placement[page])
         stream = factory() if factory is not None else chunks
+        if metric.uses_tlb:
+            batches = merged_tlb_stream(stream, self.config.n_cpus)
+        else:
+            batches = ((*data_columns(c), None) for c in stream)
+        return self._replay_batches(
+            "chunks", batches, params, metric, label,
+            placement=placement, initial_kind=initial_kind,
+        )
+
+    def _replay_batches(
+        self,
+        path: str,
+        batches,
+        params: PolicyParameters,
+        metric: Metric,
+        label: Optional[str],
+        placement: Optional[np.ndarray] = None,
+        initial_kind: Optional[str] = None,
+        items: Optional[int] = None,
+    ) -> PolicySimResult:
+        """Replay column batches on the configured engine.
+
+        The one dispatch of :meth:`simulate_dynamic` (``path``
+        ``"dynamic"``) and :meth:`simulate_dynamic_chunks` (``"chunks"``);
+        either engine reads the same batches.  Without a ``placement``,
+        pages are placed on first sight by ``initial_kind``.  ``items``
+        is the record count of a whole trace given as one batch; None
+        means streamed batches, whose spans count the replayed misses.
+        """
+        streaming = items is None
+        sampling_rate = metric.sampling_rate
+        if sampling_rate > 1:
+            params = params.scaled_for_sampling(sampling_rate)
+        result = PolicySimResult(label=label or self._default_label(params, metric))
         profiler = self.profiler
         self._emit_run_meta(result.label, params)
-        engine = self._resolve_engine("chunks")
-        with profiler.span("replay.chunks") as run_span:
-            if engine == "vector":
-                from repro.trace import fastpath
+        engine = self._resolve_engine(path)
+        with profiler.span(f"replay.{path}", items=items or 0) as run_span:
+            with profiler.span(
+                f"engine.{engine}", items=items or 0
+            ) as engine_span:
+                if engine == "vector":
+                    from repro.trace import fastpath
 
-                if metric.uses_tlb:
-                    batches = merged_tlb_stream(stream, cfg.n_cpus)
-                else:
-                    batches = ((*data_columns(c), None) for c in stream)
-                with profiler.span("engine.vector") as engine_span:
                     fastpath.replay_vector(
                         self.config, batches, params, result,
-                        sampling_rate=metric.sampling_rate,
+                        sampling_rate=sampling_rate,
                         placement=placement,
                         initial_kind=initial_kind,
+                        streaming=streaming,
                         profiler=profiler,
                         tracer=self.tracer,
                     )
+                else:
+                    events = self._batch_stream_events(
+                        batches, profiler if streaming else None
+                    )
+                    self._replay_dynamic(
+                        events, params, result,
+                        self._initial_node(placement, initial_kind),
+                        sampling_rate=sampling_rate,
+                    )
+                if streaming:
                     engine_span.add_items(result.total_misses)
+            if streaming:
                 run_span.add_items(result.total_misses)
-                return result
-            if metric.uses_tlb:
-                events = self._batch_stream_events(
-                    merged_tlb_stream(stream, cfg.n_cpus), profiler
-                )
-            else:
-                events = self._chunk_stream_events(stream, profiler)
-            with profiler.span("engine.scalar") as engine_span:
-                self._replay_dynamic(
-                    events, params, result, initial_node,
-                    sampling_rate=metric.sampling_rate,
-                )
-                engine_span.add_items(result.total_misses)
-            run_span.add_items(result.total_misses)
         return result
+
+    def _initial_node(self, placement, initial_kind):
+        """The scalar core's ``initial_node(page, cpu)``."""
+        if placement is not None:
+            return lambda page, cpu: int(placement[page])
+        if initial_kind == "ft":
+            return lambda page, cpu: int(self._cpu_nodes[cpu])
+        return lambda page, cpu: int(page % self.config.n_nodes)
 
     def _post_facto_from_chunks(self, factory) -> np.ndarray:
         """Majority-count pass: post-facto placement from streamed chunks.
@@ -874,85 +861,31 @@ class TracePolicySimulator:
     # -- event stream helpers ------------------------------------------------------------
 
     @staticmethod
-    def _single_stream_events(trace: Trace):
-        """Each record both costs stall and drives the counters.
-
-        Columns are converted to Python lists once (``.tolist()``), so
-        the replay loop iterates native ints instead of paying a numpy
-        scalar box per field per event.
-        """
-        times = trace.time_ns.tolist()
-        cpus = trace.cpu.tolist()
-        pages = trace.page.tolist()
-        weights = trace.weight.tolist()
-        writes = trace.is_write.tolist()
-        for row in zip(times, cpus, pages, weights, writes):
-            yield (row[0], row[1], row[2], row[3], row[4], True, True)
-
-    @staticmethod
-    def _chunk_stream_events(chunks, profiler=None):
-        """Single-stream events over an iterator of time-ordered chunks.
-
-        Equivalent to :meth:`_single_stream_events` on the concatenated
-        trace, but only one chunk's columns are live at a time.  Each
-        chunk's span covers the *consumption* of its events by the
-        replay loop (the generator suspends inside the span), so the
-        per-chunk profile reflects replay time, not just decode time.
-        """
-        prof = as_profiler(profiler)
-        for chunk in chunks:
-            with prof.span("replay.chunk", items=len(chunk)):
-                times = chunk.time_ns.tolist()
-                cpus = chunk.cpu.tolist()
-                pages = chunk.page.tolist()
-                weights = chunk.weight.tolist()
-                writes = chunk.is_write.tolist()
-                for row in zip(times, cpus, pages, weights, writes):
-                    yield (row[0], row[1], row[2], row[3], row[4], True, True)
-
-    @staticmethod
     def _batch_stream_events(batches, profiler=None):
-        """Scalar 7-tuple events over pre-merged column batches.
+        """Scalar 7-tuple events over time-ordered column batches.
 
-        Consumes the ``(times, cpus, pages, weights, is_write,
-        costmask)`` batches of
-        :func:`repro.trace.tlbsim.merged_tlb_stream`; equivalent to
-        :meth:`_merged_events` on the concatenated cost and driver
-        traces, with only one batch's columns live at a time.
+        Consumes ``(times, cpus, pages, weights, is_write, costmask)``
+        batches (:func:`~repro.trace.segments.data_columns`,
+        :func:`~repro.trace.segments.merge_streams`,
+        :func:`~repro.trace.tlbsim.merged_tlb_stream`) with only one
+        batch's columns live at a time, converted to Python lists once
+        so the replay loop iterates native ints.  ``costmask`` None
+        means every record both costs and counts; otherwise cost
+        records only cost and driver records only count.  Each batch's
+        ``replay.chunk`` span covers the *consumption* of its events
+        (the generator suspends inside the span).
         """
         prof = as_profiler(profiler)
         for times, cpus, pages, weights, iswrite, costmask in batches:
             with prof.span("replay.chunk", items=len(times)):
+                every = costmask is None
                 rows = zip(
                     times.tolist(), cpus.tolist(), pages.tolist(),
-                    weights.tolist(), iswrite.tolist(), costmask.tolist(),
+                    weights.tolist(), iswrite.tolist(),
+                    repeat(True) if every else costmask.tolist(),
                 )
                 for t, cpu, page, weight, iw, cost in rows:
-                    yield (t, cpu, page, weight, iw, cost, not cost)
-
-    @staticmethod
-    def _merged_events(cost: Trace, driver: Trace):
-        """Merge the cost and driver streams in time order.
-
-        Driver events sort *after* cost events at equal timestamps, so a
-        policy acting on an event never retroactively cheapens the miss
-        that produced it.
-        """
-        i = j = 0
-        n_cost, n_driver = len(cost), len(driver)
-        c_t, d_t = cost.time_ns.tolist(), driver.time_ns.tolist()
-        c_c, d_c = cost.cpu.tolist(), driver.cpu.tolist()
-        c_p, d_p = cost.page.tolist(), driver.page.tolist()
-        c_wt, d_wt = cost.weight.tolist(), driver.weight.tolist()
-        c_w, d_w = cost.is_write.tolist(), driver.is_write.tolist()
-        while i < n_cost or j < n_driver:
-            take_cost = j >= n_driver or (i < n_cost and c_t[i] <= d_t[j])
-            if take_cost:
-                yield (c_t[i], c_c[i], c_p[i], c_wt[i], c_w[i], True, False)
-                i += 1
-            else:
-                yield (d_t[j], d_c[j], d_p[j], d_wt[j], d_w[j], False, True)
-                j += 1
+                    yield (t, cpu, page, weight, iw, cost, every or not cost)
 
     # -- the competitive baseline [BGW89] ------------------------------------------
 

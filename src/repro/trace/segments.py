@@ -1,4 +1,9 @@
-"""The segment kernel shared by the vector replay engines.
+"""The replay record stream and the segment kernel of the vector engines.
+
+Every dynamic replay, on either engine, reads time-ordered column
+batches built here (:func:`data_columns`, :func:`process_columns`,
+:func:`merge_streams`) or by :func:`repro.trace.tlbsim.merged_tlb_stream`,
+which streams the same merge chunk by chunk.
 
 Both vector engines — data pages (:mod:`repro.trace.fastpath`) and
 page-table pages (:mod:`repro.ptpol.fastpath`) — replay a cost stream
@@ -39,6 +44,15 @@ def data_columns(trace) -> Tuple[np.ndarray, ...]:
     return trace.time_ns, trace.cpu, trace.page, trace.weight, trace.is_write
 
 
+def process_columns(trace) -> Tuple[np.ndarray, ...]:
+    """``(times, cpus, pids, pages, weights, is_write)``: the data
+    columns plus each record's process, as the PT replay reads them."""
+    return (
+        trace.time_ns, trace.cpu, trace.process, trace.page, trace.weight,
+        trace.is_write,
+    )
+
+
 def merge_streams(
     cost: Sequence[np.ndarray], driver: Sequence[np.ndarray]
 ) -> Tuple[np.ndarray, ...]:
@@ -46,8 +60,9 @@ def merge_streams(
 
     The sort is stable with the cost block first, so at equal
     timestamps cost records precede driver records and driver records
-    keep their derivation order — the scalar two-pointer merge's tie
-    rule.  Returns the merged columns followed by the cost mask (True
+    keep their derivation order — the tie rule of a per-record
+    two-pointer merge that takes the cost record while its timestamp is
+    not greater.  Returns the merged columns followed by the cost mask (True
     for records from ``cost``).
     """
     times = np.concatenate([cost[0], driver[0]])

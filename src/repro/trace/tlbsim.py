@@ -130,28 +130,6 @@ def derive_tlb_trace(
     return deriver.feed(trace)
 
 
-def derive_tlb_trace_chunks(
-    chunks: Iterable[Trace],
-    n_cpus: int,
-    tlb_config: Optional[TlbConfig] = None,
-    factor_of_page: Optional[Callable[[int], float]] = None,
-) -> Iterator[Trace]:
-    """Stream TLB-miss derivation over time-ordered cache-miss chunks.
-
-    Yields one (possibly empty-filtered) derived chunk per input chunk;
-    concatenating the yields reproduces :func:`derive_tlb_trace` on the
-    concatenated input.  ``n_cpus`` is required because a stream's CPU
-    range is unknown up front.
-    """
-    deriver = TlbTraceDeriver(
-        n_cpus, tlb_config=tlb_config, factor_of_page=factor_of_page
-    )
-    for chunk in chunks:
-        derived = deriver.feed(chunk)
-        if len(derived):
-            yield derived
-
-
 def merged_tlb_stream(
     chunks: Iterable[Trace],
     n_cpus: int,
@@ -160,11 +138,12 @@ def merged_tlb_stream(
 ) -> Iterator[Tuple[np.ndarray, ...]]:
     """Stream the cost/TLB-driver merge over time-ordered chunks.
 
-    Derives each chunk's TLB-miss sub-trace (statefully, like
-    :func:`derive_tlb_trace_chunks`) and merges it back into the
-    cache-miss stream in exactly the order the whole-trace two-pointer
-    merge (``policysim._merged_events``) produces: time order, cost
-    events winning timestamp ties.  Yields ``(times, cpus, pages,
+    Derives each chunk's TLB-miss sub-trace statefully (one
+    :class:`TlbTraceDeriver` fed chunk by chunk, so the derived records
+    concatenate to :func:`derive_tlb_trace` on the whole input) and
+    merges it back into the cache-miss stream in exactly the order
+    :func:`~repro.trace.segments.merge_streams` gives the whole traces:
+    time order, cost events winning timestamp ties.  Yields ``(times, cpus, pages,
     weights, is_write, costmask)`` column batches — ``costmask`` True
     for cache-miss (stall-charging) records, False for derived TLB
     (counter-driving) records — ready for

@@ -46,6 +46,24 @@ class TestFirstTouch:
         assert placement[0] == 0     # page 0 untouched -> RR
         assert placement[2] == 2
 
+    def test_matches_dict_built_first_touch_map(self):
+        rng = np.random.default_rng(11)
+        n = 400
+        rows = [
+            (t, int(rng.integers(0, 8)), 0, int(rng.integers(0, 120)), 1)
+            for t in range(n)
+        ]
+        trace = build(rows)
+        cpu_node = lambda cpu: cpu // 2  # noqa: E731 - 2 CPUs per node
+        placement = first_touch_placement(trace, 4, cpu_node)
+        first = {}
+        for _, cpu, _, page, _ in rows:
+            first.setdefault(page, cpu_node(cpu))
+        expected = [first.get(p, p % 4) for p in range(len(placement))]
+        assert len(placement) == max(first) + 1
+        assert len(first) < len(placement)  # some ids stay untouched
+        assert placement.tolist() == expected
+
 
 class TestPostFacto:
     def test_heaviest_node_wins(self):

@@ -115,3 +115,37 @@ class TestOverheadAccounting:
                         write=(page == 3))
         system.flush_pager()
         system.vm.check_invariants()
+
+
+class TestMatchesSimulator:
+    def test_same_trace_same_outcome_as_system_simulator(self):
+        """Fed the simulator's miss stream, the facade ends in the
+        simulator's exact state: pager interrupts see the same
+        process->CPU map because each record's CPU is recorded before
+        due interrupts are serviced."""
+        from repro.exp.spec import machine_for, params_for
+        from repro.sim.simulator import SystemSimulator
+        from repro.workloads import build_spec, generate_trace
+
+        spec = build_spec("splash", scale=0.1, seed=1)
+        trace = generate_trace(spec).user_only()
+        machine = machine_for("ccnuma", spec)
+        params = params_for("splash", None)
+        result = SystemSimulator(spec, machine=machine, params=params).run(
+            trace
+        )
+        system = NumaSystem(
+            machine, params, frames_per_node=spec.frames_per_node
+        )
+        rows = zip(
+            trace.time_ns.tolist(), trace.cpu.tolist(),
+            trace.process.tolist(), trace.page.tolist(),
+            trace.weight.tolist(), trace.is_write.tolist(),
+        )
+        for t, cpu, pid, page, weight, write in rows:
+            system.miss(t, cpu, pid, page, weight=weight, write=write)
+        system.flush_pager()
+        assert system.tally.to_dict() == result.tally.to_dict()
+        assert system.memory.remote_misses == result.stall.remote_misses
+        assert system.memory.total_misses == result.stall.total_misses
+        assert system.kernel_overhead_ns == result.kernel_overhead_ns

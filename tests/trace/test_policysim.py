@@ -288,6 +288,17 @@ class TestSerialization:
 
 
 class TestStreamingReplay:
+    """Whole-trace vs streamed replay, on both engines."""
+
+    @pytest.fixture(params=("scalar", "vector"))
+    def sim(self, request):
+        return TracePolicySimulator(
+            PolicySimConfig(
+                n_cpus=4, n_nodes=4, decision_delay_ns=10,
+                engine=request.param,
+            )
+        )
+
     def chunked(self, trace, size):
         """Split a trace into time-ordered chunks of ``size`` records."""
         return [
@@ -357,3 +368,46 @@ class TestStreamingReplay:
     def test_empty_stream(self, sim):
         result = sim.simulate_dynamic_chunks(iter(()), fast_params())
         assert result.total_misses == 0
+
+
+class TestBatchStreamEvents:
+    """The scalar core's adapter over time-ordered column batches."""
+
+    def columns(self):
+        import numpy as np
+
+        return (
+            np.array([0, 5, 5], dtype=np.int64),
+            np.array([1, 0, 2], dtype=np.int64),
+            np.array([7, 8, 9], dtype=np.int64),
+            np.array([3, 1, 4], dtype=np.int64),
+            np.array([False, True, False]),
+        )
+
+    def events(self, costmask):
+        batch = (*self.columns(), costmask)
+        return list(TracePolicySimulator._batch_stream_events([batch]))
+
+    def test_no_mask_means_every_record_costs_and_counts(self):
+        assert self.events(None) == [
+            (0, 1, 7, 3, False, True, True),
+            (5, 0, 8, 1, True, True, True),
+            (5, 2, 9, 4, False, True, True),
+        ]
+
+    def test_mask_splits_cost_from_count(self):
+        import numpy as np
+
+        mask = np.array([True, False, True])
+        rows = self.events(mask)
+        assert [(r[5], r[6]) for r in rows] == [
+            (True, False), (False, True), (True, False),
+        ]
+        assert [r[:5] for r in rows] == [r[:5] for r in self.events(None)]
+
+    def test_rows_hold_python_scalars(self):
+        import numpy as np
+
+        for mask in (None, np.array([True, False, True])):
+            for row in self.events(mask):
+                assert [type(v) for v in row] == [int] * 4 + [bool] * 3

@@ -4,7 +4,7 @@ import pytest
 
 from repro.machine.config import TlbConfig
 from repro.trace.record import TraceBuilder
-from repro.trace.tlbsim import derive_tlb_trace
+from repro.trace.tlbsim import TlbTraceDeriver, derive_tlb_trace
 
 
 def build(rows, meta=None):
@@ -12,6 +12,12 @@ def build(rows, meta=None):
     for r in rows:
         b.append(*r)
     return b.build()
+
+
+def feed_chunks(chunks, n_cpus, **kwargs):
+    """Each chunk's derived sub-trace, from one deriver fed in order."""
+    deriver = TlbTraceDeriver(n_cpus, **kwargs)
+    return [deriver.feed(chunk) for chunk in chunks]
 
 
 def test_resident_page_produces_no_tlb_misses():
@@ -96,7 +102,6 @@ class TestStreamingDerivation:
 
     def test_chunked_equals_full(self):
         from repro.trace.record import merge_traces
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
 
         config = TlbConfig(entries=4)
         rows = [(t * 10, t % 2, 0, (t * 3) % 11, 5) for t in range(300)]
@@ -105,11 +110,9 @@ class TestStreamingDerivation:
             trace, n_cpus=2, tlb_config=config, factor_of_page=lambda p: 1.0
         )
         for size in (1, 17, 100, 1000):
-            pieces = list(
-                derive_tlb_trace_chunks(
-                    self.chunked(trace, size), n_cpus=2,
-                    tlb_config=config, factor_of_page=lambda p: 1.0,
-                )
+            pieces = feed_chunks(
+                self.chunked(trace, size), n_cpus=2,
+                tlb_config=config, factor_of_page=lambda p: 1.0,
             )
             streamed = merge_traces(pieces)
             assert len(streamed) == len(full), size
@@ -117,8 +120,6 @@ class TestStreamingDerivation:
             assert list(streamed.weight) == list(full.weight), size
 
     def test_tlb_state_survives_chunk_boundaries(self):
-        from repro.trace.tlbsim import TlbTraceDeriver
-
         deriver = TlbTraceDeriver(1, factor_of_page=lambda p: 1.0)
         first = deriver.feed(build([(0, 0, 0, 5, 10)]))
         again = deriver.feed(build([(10, 0, 0, 5, 10)]))
@@ -126,17 +127,12 @@ class TestStreamingDerivation:
         assert len(again) == 0      # still resident across the boundary
 
     def test_empty_chunks_filtered(self):
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
-
         trace = build([(t, 0, 0, 5, 10) for t in range(0, 100, 10)])
-        pieces = list(
-            derive_tlb_trace_chunks(
-                self.chunked(trace, 2), n_cpus=1,
-                factor_of_page=lambda p: 1.0,
-            )
+        pieces = feed_chunks(
+            self.chunked(trace, 2), n_cpus=1, factor_of_page=lambda p: 1.0,
         )
         # Only the chunk containing the first touch produces records.
-        assert len(pieces) == 1
+        assert [len(p) for p in pieces] == [1, 0, 0, 0, 0]
 
 
 class TestEdgeCases:
@@ -160,12 +156,9 @@ class TestEdgeCases:
         assert set(tlb.cpu.tolist()) == {1}
 
     def test_empty_chunk_stream_yields_nothing(self):
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
-
-        assert list(derive_tlb_trace_chunks([], n_cpus=2)) == []
-        assert list(
-            derive_tlb_trace_chunks([build([])], n_cpus=2)
-        ) == []
+        assert feed_chunks([], n_cpus=2) == []
+        (derived,) = feed_chunks([build([])], n_cpus=2)
+        assert len(derived) == 0
 
 
 class TestChunkedIdentity:
@@ -179,7 +172,6 @@ class TestChunkedIdentity:
         import numpy as np
 
         from repro.trace.record import merge_traces
-        from repro.trace.tlbsim import derive_tlb_trace_chunks
 
         config = TlbConfig(entries=4)
         trace = build(self.ROWS)
@@ -191,11 +183,9 @@ class TestChunkedIdentity:
             for k in range(0, len(trace), size)
         ]
         streamed = merge_traces(
-            list(
-                derive_tlb_trace_chunks(
-                    chunks, n_cpus=2, tlb_config=config,
-                    factor_of_page=lambda p: 1.0,
-                )
+            feed_chunks(
+                chunks, n_cpus=2, tlb_config=config,
+                factor_of_page=lambda p: 1.0,
             )
         )
         return full, streamed, np
