@@ -15,7 +15,7 @@ you what each miss cost.  This script walks a tiny three-act story:
 Run:  python examples/interactive_numa.py
 """
 
-from repro import NumaSystem
+from repro import NumaSystem, SimulatorOptions
 from repro.policy.parameters import PolicyParameters
 
 MS = 1_000_000
@@ -26,7 +26,7 @@ def main() -> None:
         params=PolicyParameters(
             trigger_threshold=64, sharing_threshold=16, batch_pages=2
         ),
-        pager_delay_ns=1 * MS,
+        options=SimulatorOptions(pager_delay_ns=1 * MS),
     )
     clock = 0
 
@@ -55,6 +55,10 @@ def main() -> None:
         print(f"    page {page} now lives on node "
               f"{system.location_of(1, page)} (CPU 6's node is 6)")
     print()
+
+    # Act 2's no-action decisions latch page 0 until the next counter
+    # reset; let one pass so page 0 can trigger again.
+    clock += 150 * MS
 
     print("act 3: process 2 (CPU 3) starts reading page 0 heavily")
     for step in range(60):

@@ -41,10 +41,10 @@ from repro.policy.metrics import (
     Metric,
 )
 from repro.policy.parameters import PolicyParameters
-from repro.sim.numasystem import MissOutcome, NumaSystem
 from repro.sim.results import SimulationResult
 from repro.sim.simulator import (
-    Placement,
+    MissOutcome,
+    NumaSystem,
     SimulatorOptions,
     SystemSimulator,
     run_policy_comparison,
@@ -77,7 +77,6 @@ __all__ = [
     "MissOutcome",
     "NumaSystem",
     "SimulationResult",
-    "Placement",
     "SimulatorOptions",
     "SystemSimulator",
     "run_policy_comparison",

@@ -124,11 +124,7 @@ from repro.ptpol import (
     params_for_pt_policy,
     reconcile_events,
 )
-from repro.sim.simulator import (
-    SimulatorOptions,
-    SystemSimulator,
-    run_policy_comparison,
-)
+from repro.sim.simulator import run_policy_comparison
 from repro.trace.policysim import (
     REPLAY_ENGINES,
     PolicySimConfig,
@@ -271,33 +267,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     attrib = None
     profiler = _make_profiler(args)
-    if tracer is None and profiler is None and args.jobs > 1:
-        # The two legs are independent: run them in worker processes.
+    try:
         results = run_policy_comparison(
             spec, trace, machine=machine, params=params,
             shootdown_mode=mode, adaptive_trigger=args.adaptive,
-            jobs=args.jobs,
+            jobs=args.jobs, tracer=tracer, profiler=profiler,
         )
-        ft, mr = results["FT"], results["Mig/Rep"]
-    else:
-        ft = SystemSimulator(
-            spec, machine=machine, params=params,
-            options=SimulatorOptions(dynamic=False, shootdown_mode=mode),
-            profiler=profiler,
-        ).run(trace)
-        try:
-            mr = SystemSimulator(
-                spec, machine=machine, params=params,
-                options=SimulatorOptions(
-                    dynamic=True, shootdown_mode=mode,
-                    adaptive_trigger=args.adaptive,
-                ),
-                tracer=tracer,
-                profiler=profiler,
-            ).run(trace)
-        finally:
-            if tracer is not None:
-                tracer.close()
+    finally:
+        if tracer is not None:
+            tracer.close()
+    ft, mr = results["FT"], results["Mig/Rep"]
     rows = []
     for label, r in (("FT", ft), ("Mig/Rep", mr)):
         rows.append(

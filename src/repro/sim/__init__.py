@@ -1,9 +1,9 @@
 """Full-system simulation (the SimOS analogue for Section 7)."""
 
-from repro.sim.numasystem import MissOutcome, NumaSystem
 from repro.sim.results import ContentionStats, SimulationResult, StallBreakdown
 from repro.sim.simulator import (
-    Placement,
+    MissOutcome,
+    NumaSystem,
     SimulatorOptions,
     SystemSimulator,
     run_policy_comparison,
@@ -15,7 +15,6 @@ __all__ = [
     "ContentionStats",
     "SimulationResult",
     "StallBreakdown",
-    "Placement",
     "SimulatorOptions",
     "SystemSimulator",
     "run_policy_comparison",

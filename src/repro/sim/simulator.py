@@ -1,6 +1,7 @@
 """The full-system simulator: Section 7's experimental apparatus.
 
-Replays a workload's weighted miss trace against the complete stack:
+:class:`NumaSystem` is the one machine + kernel stack.  It services a
+time-ordered stream of weighted misses:
 
 * the NUMA memory system services every miss (latency + contention);
 * the directory controller counts misses per page per CPU, samples if
@@ -12,6 +13,23 @@ Replays a workload's weighted miss trace against the complete stack:
   its kernel unmapped at boot, so kernel pages cannot be migrated or
   replicated (Section 8.2), only user pages can.
 
+:meth:`NumaSystem.feed` services a batch of records given as columns;
+:meth:`NumaSystem.miss` is a one-record call of it, so a caller can drive
+the paper's machinery from any event source (a custom generator, a
+parsed trace from another simulator, a live experiment):
+
+    system = NumaSystem(MachineConfig.flash_ccnuma(), PolicyParameters.base())
+    for event in my_events:
+        outcome = system.miss(event.t, event.cpu, event.pid, event.page,
+                              weight=event.n, write=event.is_write)
+        total_stall += outcome.stall_ns
+    system.flush_pager()
+    print(system.local_fraction, system.tally.percentages())
+
+:class:`SystemSimulator` feeds one workload's whole trace to a
+:class:`NumaSystem` in one call and assembles the
+:class:`~repro.sim.results.SimulationResult`.
+
 Timestamps come from the trace (fixed timeline); policies are compared by
 the execution-time decomposition compute + idle + stall + overhead, as in
 the paper's trace-based methodology.
@@ -19,7 +37,6 @@ the paper's trace-based methodology.
 
 from __future__ import annotations
 
-import enum
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -28,7 +45,7 @@ from typing import Dict, Optional
 from repro.common.errors import ConfigurationError
 from repro.kernel.pager.collapse import CollapseHandler
 from repro.kernel.pager.costs import KernelCostAccounting, KernelCostModel
-from repro.kernel.pager.handler import PagerHandler
+from repro.kernel.pager.handler import ActionTally, PagerHandler
 from repro.kernel.vm.shootdown import ShootdownMode
 from repro.kernel.vm.system import VmSystem
 from repro.machine.config import MachineConfig
@@ -45,7 +62,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import as_tracer
 from repro.policy.adaptive import AdaptiveTriggerController, IntervalFeedback
 from repro.policy.parameters import PolicyParameters
-from repro.sim.results import ContentionStats, SimulationResult
+from repro.sim.results import ContentionStats, SimulationResult, StallBreakdown
 from repro.trace.record import Trace
 from repro.workloads.base import generate_trace
 from repro.workloads.spec import WorkloadSpec
@@ -68,19 +85,11 @@ _LEGACY_EXTRA_ADAPTIVE = {
 }
 
 
-class Placement(enum.Enum):
-    """Initial (fault-time) page placement."""
-
-    FIRST_TOUCH = "FT"
-    ROUND_ROBIN = "RR"
-
-
 @dataclass
 class SimulatorOptions:
     """Knobs of a full-system run."""
 
     dynamic: bool = True                      # migration/replication on?
-    placement: Placement = Placement.FIRST_TOUCH
     shootdown_mode: ShootdownMode = ShootdownMode.ALL_CPUS
     pipelined_copy: bool = False              # MAGIC memory-to-memory copy
     pager_delay_ns: int = 20_000_000          # interrupt dispatch latency
@@ -89,69 +98,114 @@ class SimulatorOptions:
     @property
     def label(self) -> str:
         """Short policy label for result tables."""
-        return "Mig/Rep" if self.dynamic else self.placement.value
+        return "Mig/Rep" if self.dynamic else "FT"
 
 
-class SystemSimulator:
-    """Run one workload on one machine under one policy."""
+@dataclass(frozen=True)
+class MissOutcome:
+    """What one (weighted) miss experienced."""
+
+    node: int               # node that serviced the miss
+    is_local: bool
+    latency_ns: float       # per-miss latency including queuing
+    stall_ns: float         # latency x weight
+    collapsed: bool         # a write hit a replicated page
+
+
+class NumaSystem:
+    """A live CC-NUMA machine + kernel accepting a time-ordered miss stream."""
 
     def __init__(
         self,
-        spec: WorkloadSpec,
         machine: Optional[MachineConfig] = None,
         params: Optional[PolicyParameters] = None,
         options: Optional[SimulatorOptions] = None,
+        frames_per_node: Optional[int] = None,
         costs: Optional[KernelCostModel] = None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler=None,
     ) -> None:
-        self.spec = spec
-        self.tracer = as_tracer(tracer)
-        self.metrics = metrics
-        self.profiler = as_profiler(profiler)
-        if machine is None:
-            machine = MachineConfig.flash_ccnuma(
-                n_cpus=spec.n_cpus, n_nodes=spec.n_nodes
-            )
-        if machine.n_cpus != spec.n_cpus or machine.n_nodes != spec.n_nodes:
-            raise ConfigurationError(
-                "machine CPU/node counts must match the workload spec"
-            )
-        self.machine = machine
-        self.params = params or PolicyParameters.base()
-        self.options = options or SimulatorOptions()
+        self.machine = machine = machine or MachineConfig.flash_ccnuma()
+        self.params = params = params or PolicyParameters.base()
+        self.options = options = options or SimulatorOptions()
         self.costs = costs or KernelCostModel.for_machine(
-            machine, pipelined_copy=self.options.pipelined_copy
+            machine, pipelined_copy=options.pipelined_copy
         )
+        self.tracer = tracer = as_tracer(tracer)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.vm = VmSystem(
+            machine.n_nodes,
+            frames_per_node or machine.memory.frames_per_node,
+        )
+        self.memory = NumaMemorySystem(machine)
+        self.directory = DirectoryArray(
+            machine.n_cpus,
+            trigger_threshold=params.trigger_threshold,
+            sampling_rate=params.sampling_rate,
+            batch_pages=params.batch_pages,
+            tracer=tracer,
+        )
+        self.accounting = KernelCostAccounting()
+        self._last_cpu: Dict[int, int] = {}
+        self.pager = PagerHandler(
+            vm=self.vm,
+            directory=self.directory,
+            params=params,
+            costs=self.costs,
+            accounting=self.accounting,
+            n_cpus=machine.n_cpus,
+            node_of_cpu=machine.node_of_cpu,
+            node_of_process=self._node_of_process,
+            cpu_of_process=self._last_cpu.get,
+            shootdown_mode=options.shootdown_mode,
+            tracer=tracer,
+        )
+        self.collapser = CollapseHandler(
+            vm=self.vm,
+            directory=self.directory,
+            costs=self.costs,
+            accounting=self.accounting,
+            n_cpus=machine.n_cpus,
+            node_of_cpu=machine.node_of_cpu,
+            cpu_of_process=self._last_cpu.get,
+            shootdown_mode=options.shootdown_mode,
+            tracer=tracer,
+        )
+        self._register_metrics()
+        self.adaptive: Optional[AdaptiveTriggerController] = None
+        if options.adaptive_trigger and options.dynamic:
+            self.adaptive = AdaptiveTriggerController(
+                initial_trigger=params.trigger_threshold
+            )
+            self.adaptive.register_metrics(self.metrics)
+        self.stall = StallBreakdown()
+        # State carried from one feed() call to the next.
+        self.now_ns = 0                   # time of the last serviced record
+        self._pending: list = []          # heap of (due_ns, seq, HotBatch)
+        self._pending_seq = itertools.count()
+        self._next_reset = params.reset_interval_ns
+        self._interval_index = 0
+        self._interval_marks = (0.0, 0, 0)  # overhead/remote/total at start
+        self._kernel_placement: Dict[int, int] = {}
 
-    # -- machine-label helper ----------------------------------------------------
+    # -- helpers ------------------------------------------------------------------
 
-    def _machine_label(self) -> str:
-        remote = self.machine.memory.remote_ns
-        if remote >= 2500:
-            return "CC-NOW"
-        if self.machine.network.hop_ns == 0:
-            return "zero-network"
-        return "CC-NUMA"
+    def _node_of_process(self, pid: int) -> int:
+        return self.machine.node_of_cpu(self._last_cpu.get(pid, 0))
 
-    # -- metrics wiring ----------------------------------------------------------
-
-    @staticmethod
-    def _register_metrics(
-        registry, memory, directory, pager, collapser, vm, accounting
-    ) -> None:
+    def _register_metrics(self) -> None:
         """Attach every layer's counters to one queryable namespace.
 
         Registration is collect-time only (callbacks and by-reference
         histograms), so the hot loop pays nothing for it.
         """
-        memory.register_metrics(registry)
-        directory.register_metrics(registry)
-        pager.register_metrics(registry)
-        collapser.register_metrics(registry)
+        registry, vm = self.metrics, self.vm
+        self.memory.register_metrics(registry)
+        self.directory.register_metrics(registry)
+        self.pager.register_metrics(registry)
+        self.collapser.register_metrics(registry)
         vm.locks.register_metrics(registry)
-        accounting.register_metrics(registry)
+        self.accounting.register_metrics(registry)
         stats = vm.stats
         registry.register_callback("vm.migrations", lambda: stats.migrations)
         registry.register_callback(
@@ -167,145 +221,39 @@ class SystemSimulator:
             lambda: vm.allocator.peak_replica_frames,
         )
 
-    # -- the run --------------------------------------------------------------------
+    # -- the event interface ----------------------------------------------------------
 
-    def run(self, trace: Optional[Trace] = None) -> SimulationResult:
-        """Execute the workload and return the full result."""
-        spec = self.spec
-        if trace is None:
-            trace = generate_trace(spec)
-        # Spans wrap the run's phases (setup / replay / finalize), never
-        # the per-event loop body, so profiling costs nothing per miss
-        # and cannot perturb the simulated result.
-        with self.profiler.span("sim.run", items=len(trace)):
-            with self.profiler.span("sim.setup"):
-                state = self._setup(trace)
-            with self.profiler.span("sim.replay", items=len(trace)):
-                self._replay(trace, *state)
-            with self.profiler.span("sim.finalize"):
-                result = self._finalize(trace, *state)
-        return result
+    def feed(
+        self, times, cpus, pids, pages, weights, is_write, is_instr, is_kernel
+    ):
+        """Service a time-ordered batch of weighted misses, one column each.
 
-    def _setup(self, trace: Trace):
-        """Build the machine/kernel stack for one run (the setup phase)."""
-        spec, machine, params, options = (
-            self.spec,
-            self.machine,
-            self.params,
-            self.options,
-        )
-        tracer = self.tracer
-        registry = self.metrics if self.metrics is not None else MetricsRegistry()
-        frames_per_node = spec.frames_per_node or machine.memory.frames_per_node
-        vm = VmSystem(machine.n_nodes, frames_per_node)
-        memory = NumaMemorySystem(machine)
-        directory = DirectoryArray(
-            machine.n_cpus,
-            trigger_threshold=params.trigger_threshold,
-            sampling_rate=params.sampling_rate,
-            batch_pages=params.batch_pages,
-            tracer=tracer,
-        )
-        accounting = KernelCostAccounting()
-        last_cpu: Dict[int, int] = {}
-
-        def node_of_cpu(cpu: int) -> int:
-            return machine.node_of_cpu(cpu)
-
-        def cpu_of_process(pid: int) -> Optional[int]:
-            return last_cpu.get(pid)
-
-        def node_of_process(pid: int) -> int:
-            return machine.node_of_cpu(last_cpu.get(pid, 0))
-
-        pager = PagerHandler(
-            vm=vm,
-            directory=directory,
-            params=params,
-            costs=self.costs,
-            accounting=accounting,
-            n_cpus=machine.n_cpus,
-            node_of_cpu=node_of_cpu,
-            node_of_process=node_of_process,
-            cpu_of_process=cpu_of_process,
-            shootdown_mode=options.shootdown_mode,
-            tracer=tracer,
-        )
-        collapser = CollapseHandler(
-            vm=vm,
-            directory=directory,
-            costs=self.costs,
-            accounting=accounting,
-            n_cpus=machine.n_cpus,
-            node_of_cpu=node_of_cpu,
-            cpu_of_process=cpu_of_process,
-            shootdown_mode=options.shootdown_mode,
-            tracer=tracer,
-        )
-        self._register_metrics(
-            registry, memory, directory, pager, collapser, vm, accounting
-        )
-        result = SimulationResult(
-            workload=spec.name,
-            policy=options.label,
-            machine=self._machine_label(),
-            compute_time_ns=float(spec.compute_time_ns),
-            idle_time_ns=float(spec.idle_time_ns()),
-        )
-        adaptive: Optional[AdaptiveTriggerController] = None
-        if options.adaptive_trigger and options.dynamic:
-            adaptive = AdaptiveTriggerController(
-                initial_trigger=params.trigger_threshold
-            )
-            adaptive.register_metrics(registry)
-        pending: list = []                # heap of (due_ns, seq, HotBatch)
-        return (
-            registry, vm, memory, directory, accounting, last_cpu,
-            pager, collapser, result, adaptive, pending,
-        )
-
-    def _replay(
-        self, trace, registry, vm, memory, directory, accounting,
-        last_cpu, pager, collapser, result, adaptive, pending,
-    ) -> None:
-        """The per-event loop (the replay phase)."""
+        Any indexable columns work (numpy arrays, lists, tuples).  Calls
+        continue one another exactly: a stream fed in slices ends in the
+        state one whole-stream call reaches.  Returns the last record's
+        ``(node, MissService)``, or None for an empty batch.
+        """
+        if len(times) == 0:
+            return None
+        if times[0] < self.now_ns:
+            raise ValueError("miss events must arrive in time order")
         machine, params, options = self.machine, self.params, self.options
         tracer = self.tracer
+        vm, memory, directory = self.vm, self.memory, self.directory
+        pager, collapser = self.pager, self.collapser
+        accounting, adaptive = self.accounting, self.adaptive
+        stall, last_cpu = self.stall, self._last_cpu
+        pending, pending_seq = self._pending, self._pending_seq
+        kernel_placement = self._kernel_placement
+        next_reset = self._next_reset
+        interval_marks = self._interval_marks
+        interval_index = self._interval_index
         node_of_cpu = machine.node_of_cpu
-        kernel_placement: Dict[int, int] = {}
-        pending_seq = itertools.count()
-        next_reset = params.reset_interval_ns
-        interval_marks = (0.0, 0, 0)      # overhead/remote/total at interval start
-        interval_index = 0
         dynamic = options.dynamic
-        round_robin = options.placement is Placement.ROUND_ROBIN
-        n_nodes = machine.n_nodes
         emit_miss = tracer.wants(MissServiced.KIND)
         trace_on = tracer.active
-        if tracer.wants(RunMeta.KIND):
-            tracer.emit(
-                RunMeta(
-                    t=0,
-                    label=f"{self.spec.name}:{options.label}",
-                    n_cpus=machine.n_cpus,
-                    n_nodes=machine.n_nodes,
-                    local_ns=float(machine.memory.local_ns),
-                    remote_ns=float(machine.memory.remote_ns),
-                    trigger=params.trigger_threshold,
-                    reset_interval_ns=params.reset_interval_ns,
-                )
-            )
 
-        times = trace.time_ns
-        cpus = trace.cpu
-        pids = trace.process
-        pages = trace.page
-        weights = trace.weight
-        is_write = trace.is_write
-        is_instr = trace.is_instr
-        is_kernel = trace.is_kernel
-
-        for i in range(len(trace)):
+        for i in range(len(times)):
             t = int(times[i])
             cpu = int(cpus[i])
             pid = int(pids[i])
@@ -381,12 +329,10 @@ class SystemSimulator:
                 # Kernel pages: first-touch placement, never movable.
                 node = kernel_placement.get(page)
                 if node is None:
-                    node = (
-                        page % n_nodes if round_robin else node_of_cpu(cpu)
-                    )
+                    node = node_of_cpu(cpu)
                     kernel_placement[page] = node
                 service = memory.service_miss(t, cpu, node, weight)
-                result.stall.add(
+                stall.add(
                     service.latency_ns * weight,
                     weight,
                     is_kernel=True,
@@ -409,14 +355,13 @@ class SystemSimulator:
                 continue
 
             # User pages go through the VM system.
-            preferred = page % n_nodes if round_robin else node_of_cpu(cpu)
-            pte = vm.fault(pid, page, preferred)
+            pte = vm.fault(pid, page, node_of_cpu(cpu))
             master = vm.master_of(page)
             if write and master is not None and master.has_replicas:
                 collapser.handle_write_fault(t, page, cpu)
-            frame = pte.frame
-            service = memory.service_miss(t, cpu, frame.node, weight)
-            result.stall.add(
+            node = pte.frame.node
+            service = memory.service_miss(t, cpu, node, weight)
+            stall.add(
                 service.latency_ns * weight,
                 weight,
                 is_kernel=False,
@@ -429,7 +374,7 @@ class SystemSimulator:
                         t=t,
                         cpu=cpu,
                         page=page,
-                        node=frame.node,
+                        node=node,
                         weight=weight,
                         latency_ns=service.latency_ns,
                         remote=service.is_remote,
@@ -457,39 +402,202 @@ class SystemSimulator:
                          next(pending_seq), batch),
                     )
 
-    def _finalize(
-        self, trace, registry, vm, memory, directory, accounting,
-        last_cpu, pager, collapser, result, adaptive, pending,
-    ) -> SimulationResult:
-        """End-of-run drain and result gathering (the finalize phase)."""
-        # End of run: flush whatever is still queued.
-        end_time = int(trace.time_ns[-1]) if len(trace) else 0
-        for batch in directory.drain():
-            pager.handle_batch(end_time, batch)
-        while pending:
-            _, _, batch = heapq.heappop(pending)
-            pager.handle_batch(end_time, batch)
+        self.now_ns = t
+        self._next_reset = next_reset
+        self._interval_index = interval_index
+        self._interval_marks = interval_marks
+        return node, service
 
-        # -- gather results ------------------------------------------------------
-        result.accounting = accounting
-        result.tally = pager.tally
-        result.collapses = collapser.collapses
-        result.base_pages = vm.stats.base_pages
-        result.peak_replica_frames = vm.allocator.peak_replica_frames
-        result.contention = ContentionStats(
-            remote_handler_invocations=memory.remote_handler_invocations,
-            average_network_queue_length=memory.average_network_queue_length(
-                max(end_time, 1)
+    def miss(
+        self,
+        time_ns: int,
+        cpu: int,
+        process: int,
+        page: int,
+        weight: int = 1,
+        write: bool = False,
+    ) -> MissOutcome:
+        """Service ``weight`` identical user-mode secondary-cache misses.
+
+        Faults the page in (first-touch) if needed, collapses replicas on
+        a write, services the miss through the contention-modelled memory
+        system, and counts it in the directory — possibly triggering a
+        pager interrupt that fires ``options.pager_delay_ns`` later.
+        """
+        # Only this record's write fault can collapse: pager interrupts
+        # migrate and replicate, never collapse.
+        collapses = self.collapser.collapses
+        node, service = self.feed(
+            (time_ns,), (cpu,), (process,), (page,), (weight,), (write,),
+            (False,), (False,),
+        )
+        return MissOutcome(
+            node=node,
+            is_local=not service.is_remote,
+            latency_ns=service.latency_ns,
+            stall_ns=service.latency_ns * weight,
+            collapsed=self.collapser.collapses != collapses,
+        )
+
+    def flush_pager(self) -> None:
+        """Service every queued interrupt now (end of run / of interval)."""
+        for batch in self.directory.drain():
+            self.pager.handle_batch(self.now_ns, batch)
+        while self._pending:
+            _, _, batch = heapq.heappop(self._pending)
+            self.pager.handle_batch(self.now_ns, batch)
+
+    # -- state views --------------------------------------------------------------------
+
+    @property
+    def tally(self) -> ActionTally:
+        """Table 4-style action counts so far."""
+        return self.pager.tally
+
+    @property
+    def local_fraction(self) -> float:
+        """Fraction of serviced misses that were local."""
+        return self.memory.local_fraction
+
+    @property
+    def kernel_overhead_ns(self) -> float:
+        """Total pager overhead so far."""
+        return self.accounting.total_overhead_ns
+
+    def location_of(self, process: int, page: int) -> Optional[int]:
+        """Node holding the copy ``process`` is mapped to (None if unmapped)."""
+        return self.vm.location_for(process, page)
+
+    def copies_of(self, page: int) -> list:
+        """Nodes holding a copy of ``page`` (empty if not resident)."""
+        master = self.vm.master_of(page)
+        return master.copy_nodes() if master is not None else []
+
+
+class SystemSimulator:
+    """Run one workload on one machine under one policy.
+
+    Each :meth:`run` builds a fresh :class:`NumaSystem`, feeds it the
+    whole trace and gathers the result.
+    """
+
+    def __init__(
+        self,
+        spec: WorkloadSpec,
+        machine: Optional[MachineConfig] = None,
+        params: Optional[PolicyParameters] = None,
+        options: Optional[SimulatorOptions] = None,
+        costs: Optional[KernelCostModel] = None,
+        tracer=None,
+        metrics: Optional[MetricsRegistry] = None,
+        profiler=None,
+    ) -> None:
+        self.spec = spec
+        self.tracer = as_tracer(tracer)
+        self.metrics = metrics
+        self.profiler = as_profiler(profiler)
+        if machine is None:
+            machine = MachineConfig.flash_ccnuma(
+                n_cpus=spec.n_cpus, n_nodes=spec.n_nodes
+            )
+        if machine.n_cpus != spec.n_cpus or machine.n_nodes != spec.n_nodes:
+            raise ConfigurationError(
+                "machine CPU/node counts must match the workload spec"
+            )
+        self.machine = machine
+        self.params = params or PolicyParameters.base()
+        self.options = options or SimulatorOptions()
+        self.costs = costs
+
+    # -- machine-label helper ----------------------------------------------------
+
+    def _machine_label(self) -> str:
+        remote = self.machine.memory.remote_ns
+        if remote >= 2500:
+            return "CC-NOW"
+        if self.machine.network.hop_ns == 0:
+            return "zero-network"
+        return "CC-NUMA"
+
+    # -- the run --------------------------------------------------------------------
+
+    def run(self, trace: Optional[Trace] = None) -> SimulationResult:
+        """Execute the workload and return the full result."""
+        spec = self.spec
+        if trace is None:
+            trace = generate_trace(spec)
+        # Spans wrap the run's phases (setup / replay / finalize), never
+        # the per-event loop body, so profiling costs nothing per miss
+        # and cannot perturb the simulated result.
+        with self.profiler.span("sim.run", items=len(trace)):
+            with self.profiler.span("sim.setup"):
+                system = NumaSystem(
+                    self.machine,
+                    self.params,
+                    self.options,
+                    frames_per_node=spec.frames_per_node,
+                    costs=self.costs,
+                    tracer=self.tracer,
+                    metrics=self.metrics,
+                )
+            with self.profiler.span("sim.replay", items=len(trace)):
+                self._emit_run_meta()
+                system.feed(
+                    trace.time_ns, trace.cpu, trace.process, trace.page,
+                    trace.weight, trace.is_write, trace.is_instr,
+                    trace.is_kernel,
+                )
+            with self.profiler.span("sim.finalize"):
+                system.flush_pager()
+                result = self._result(system)
+        return result
+
+    def _emit_run_meta(self) -> None:
+        tracer, machine, params = self.tracer, self.machine, self.params
+        if tracer.wants(RunMeta.KIND):
+            tracer.emit(
+                RunMeta(
+                    t=0,
+                    label=f"{self.spec.name}:{self.options.label}",
+                    n_cpus=machine.n_cpus,
+                    n_nodes=machine.n_nodes,
+                    local_ns=float(machine.memory.local_ns),
+                    remote_ns=float(machine.memory.remote_ns),
+                    trigger=params.trigger_threshold,
+                    reset_interval_ns=params.reset_interval_ns,
+                )
+            )
+
+    def _result(self, system: NumaSystem) -> SimulationResult:
+        """Gather a drained system's state into the run's result."""
+        spec, memory, vm = self.spec, system.memory, system.vm
+        result = SimulationResult(
+            workload=spec.name,
+            policy=self.options.label,
+            machine=self._machine_label(),
+            compute_time_ns=float(spec.compute_time_ns),
+            idle_time_ns=float(spec.idle_time_ns()),
+            stall=system.stall,
+            accounting=system.accounting,
+            tally=system.tally,
+            contention=ContentionStats(
+                remote_handler_invocations=memory.remote_handler_invocations,
+                average_network_queue_length=(
+                    memory.average_network_queue_length(max(system.now_ns, 1))
+                ),
+                max_controller_occupancy=memory.max_controller_occupancy(),
+                average_local_latency_ns=memory.average_local_latency(),
+                average_remote_latency_ns=memory.average_remote_latency(),
             ),
-            max_controller_occupancy=memory.max_controller_occupancy(),
-            average_local_latency_ns=memory.average_local_latency(),
-            average_remote_latency_ns=memory.average_remote_latency(),
+            collapses=system.collapser.collapses,
+            base_pages=vm.stats.base_pages,
+            peak_replica_frames=vm.allocator.peak_replica_frames,
         )
         # The registry is the source of truth; the legacy ``extra`` keys are
         # served from it so pre-registry consumers keep working unchanged.
-        result.metrics = registry.collect()
+        result.metrics = system.metrics.collect()
         legacy = dict(_LEGACY_EXTRA)
-        if adaptive is not None:
+        if system.adaptive is not None:
             legacy.update(_LEGACY_EXTRA_ADAPTIVE)
         for extra_key, metric_name in legacy.items():
             result.extra[extra_key] = float(result.metrics[metric_name])
@@ -503,9 +611,14 @@ def _comparison_leg(
     machine: Optional[MachineConfig],
     params: Optional[PolicyParameters],
     options: SimulatorOptions,
+    tracer=None,
+    profiler=None,
 ) -> SimulationResult:
     """One leg of the FT-vs-Mig/Rep comparison (top-level: picklable)."""
-    sim = SystemSimulator(spec, machine=machine, params=params, options=options)
+    sim = SystemSimulator(
+        spec, machine=machine, params=params, options=options,
+        tracer=tracer, profiler=profiler,
+    )
     return sim.run(trace)
 
 
@@ -517,12 +630,16 @@ def run_policy_comparison(
     shootdown_mode: ShootdownMode = ShootdownMode.ALL_CPUS,
     adaptive_trigger: bool = False,
     jobs: int = 1,
+    tracer=None,
+    profiler=None,
 ) -> Dict[str, SimulationResult]:
     """Run FT (static) and Mig/Rep (dynamic) on one workload (Figure 3).
 
-    With ``jobs > 1`` the two legs run in separate worker processes (the
-    FT baseline and the dynamic run are independent); any failure to
-    start a pool degrades silently to the serial path.
+    ``tracer`` records the Mig/Rep leg only (the FT baseline makes no
+    decisions); ``profiler`` times both legs.  With ``jobs > 1`` and
+    neither set, the two legs run in separate worker processes (they
+    are independent); any failure to start a pool degrades silently to
+    the serial path.
     """
     if trace is None:
         trace = generate_trace(spec)
@@ -534,7 +651,7 @@ def run_policy_comparison(
             adaptive_trigger=adaptive_trigger,
         ),
     ]
-    if jobs > 1:
+    if jobs > 1 and tracer is None and profiler is None:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
@@ -554,6 +671,9 @@ def run_policy_comparison(
                 BrokenProcessPool):
             pass  # fall through to the serial path
     return {
-        options.label: _comparison_leg(spec, trace, machine, params, options)
+        options.label: _comparison_leg(
+            spec, trace, machine, params, options,
+            tracer=tracer if options.dynamic else None, profiler=profiler,
+        )
         for options in legs
     }

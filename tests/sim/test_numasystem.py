@@ -1,21 +1,28 @@
 """The interactive NumaSystem facade."""
 
+import runpy
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.machine.config import MachineConfig
 from repro.policy.parameters import PolicyParameters
-from repro.sim.numasystem import NumaSystem
+from repro.obs.events import ALL_KINDS, MissServiced
+from repro.obs.export import JsonlSink
+from repro.obs.tracer import Tracer
+from repro.sim.simulator import NumaSystem, SimulatorOptions
 
 PARAMS = PolicyParameters(
     trigger_threshold=20, sharing_threshold=5, batch_pages=1,
 )
 
 
-def make_system(**kw):
-    kw.setdefault("machine", MachineConfig.flash_ccnuma())
-    kw.setdefault("params", PARAMS)
-    kw.setdefault("pager_delay_ns", 10)
-    return NumaSystem(**kw)
+def make_system(params=PARAMS, **options):
+    options.setdefault("pager_delay_ns", 10)
+    return NumaSystem(
+        MachineConfig.flash_ccnuma(), params, SimulatorOptions(**options)
+    )
 
 
 class TestBasicServicing:
@@ -119,10 +126,9 @@ class TestOverheadAccounting:
 
 class TestMatchesSimulator:
     def test_same_trace_same_outcome_as_system_simulator(self):
-        """Fed the simulator's miss stream, the facade ends in the
-        simulator's exact state: pager interrupts see the same
-        process->CPU map because each record's CPU is recorded before
-        due interrupts are serviced."""
+        """Fed the simulator's miss stream one miss() at a time, the
+        system ends in the state the simulator's one whole-trace feed()
+        reaches: miss() is a one-record call of the same loop."""
         from repro.exp.spec import machine_for, params_for
         from repro.sim.simulator import SystemSimulator
         from repro.workloads import build_spec, generate_trace
@@ -149,3 +155,97 @@ class TestMatchesSimulator:
         assert system.memory.remote_misses == result.stall.remote_misses
         assert system.memory.total_misses == result.stall.total_misses
         assert system.kernel_overhead_ns == result.kernel_overhead_ns
+        # miss() services data misses, so the simulator's instruction
+        # stall shows up as data stall; the local/remote split is exact.
+        stall, expected = system.stall, result.stall
+        assert (stall.local_ns, stall.remote_ns) == (
+            expected.local_ns, expected.remote_ns
+        )
+        assert (stall.local_misses, stall.remote_misses) == (
+            expected.local_misses, expected.remote_misses
+        )
+        assert stall.user_data_ns == pytest.approx(expected.user_ns)
+        assert stall.user_instr_ns == stall.kernel_ns == 0
+
+
+class TestBatchSlices:
+    """feed() carries its state across calls: any slicing of a stream
+    ends where one whole-stream call ends."""
+
+    @pytest.fixture(scope="class")
+    def splash(self):
+        from repro.exp.spec import machine_for, params_for
+        from repro.workloads import build_spec, generate_trace
+
+        spec = build_spec("splash", scale=0.1, seed=1)
+        trace = generate_trace(spec)          # kernel records included
+        params = params_for("splash", None)
+        params = params.replace(
+            reset_interval_ns=params.reset_interval_ns // 4
+        )
+        return spec, trace, machine_for("ccnuma", spec), params
+
+    @staticmethod
+    def run(splash, log, cuts):
+        spec, trace, machine, params = splash
+        # Every decision, interval and trigger event; misses are
+        # checked through the stall breakdown instead.
+        tracer = Tracer(
+            sinks=[JsonlSink(str(log))],
+            kinds=ALL_KINDS - {MissServiced.KIND},
+        )
+        system = NumaSystem(
+            machine, params, SimulatorOptions(adaptive_trigger=True),
+            frames_per_node=spec.frames_per_node, tracer=tracer,
+        )
+        columns = (
+            trace.time_ns, trace.cpu, trace.process, trace.page,
+            trace.weight, trace.is_write, trace.is_instr, trace.is_kernel,
+        )
+        bounds = [0, *cuts, len(trace)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            system.feed(*(column[lo:hi] for column in columns))
+        system.flush_pager()
+        tracer.close()
+        return system
+
+    def test_uneven_slices_match_one_call(self, splash, tmp_path):
+        _, trace, _, params = splash
+        # The first record of the fourth interval starts a slice, so
+        # that slice's first record performs the reset.
+        edge = int(
+            np.searchsorted(trace.time_ns, 3 * params.reset_interval_ns)
+        )
+        n = len(trace)
+        assert 61 < edge < n - 4099
+        cuts = sorted([
+            *range(1, 61), 60,              # one-record slices, one empty
+            edge - 1, edge, edge + 1,
+            *range(edge + 2, n - 40, 4099),
+            *range(n - 40, n),              # one-record slices at the end
+        ])
+        whole = self.run(splash, tmp_path / "whole.jsonl", [])
+        sliced = self.run(splash, tmp_path / "sliced.jsonl", cuts)
+        assert whole.tally.hot_pages > 0
+        assert whole.metrics.collect()["policy.adaptive.history_len"] > 3
+        assert sliced.tally.to_dict() == whole.tally.to_dict()
+        assert sliced.stall == whole.stall
+        assert sliced.metrics.collect() == whole.metrics.collect()
+        assert (tmp_path / "sliced.jsonl").read_bytes() == (
+            tmp_path / "whole.jsonl"
+        ).read_bytes()
+
+    def test_empty_batch_changes_nothing(self):
+        system = make_system()
+        assert system.feed((), (), (), (), (), (), (), ()) is None
+        assert system.now_ns == 0
+        assert system.memory.total_misses == 0
+
+
+class TestInteractiveExample:
+    def test_act3_replicates_then_collapses(self, capsys):
+        example = Path(__file__).parents[2] / "examples/interactive_numa.py"
+        runpy.run_path(str(example), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "copies of page 0 now on nodes [6, 3] (1 replication[s])" in out
+        assert "process 1 writes page 0 -> collapsed=True" in out

@@ -7,7 +7,6 @@ from repro.kernel.vm.shootdown import ShootdownMode
 from repro.machine.config import MachineConfig
 from repro.policy.parameters import PolicyParameters
 from repro.sim.simulator import (
-    Placement,
     SimulatorOptions,
     SystemSimulator,
     run_policy_comparison,
@@ -55,20 +54,6 @@ class TestBasicRuns:
         assert mr.kernel_overhead_ns > 0
         assert mr.tally.migrated > 0
         assert mr.tally.replicated > 0
-
-    def test_round_robin_placement_worse_than_ft(self, engineering):
-        spec, trace = engineering
-        ft = SystemSimulator(
-            spec, options=SimulatorOptions(dynamic=False)
-        ).run(trace)
-        rr = SystemSimulator(
-            spec,
-            options=SimulatorOptions(
-                dynamic=False, placement=Placement.ROUND_ROBIN
-            ),
-        ).run(trace)
-        assert rr.policy == "RR"
-        assert rr.stall.total_ns > ft.stall.total_ns
 
     def test_machine_mismatch_rejected(self, engineering):
         spec, _ = engineering
