@@ -23,6 +23,17 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import KB, PAGE_SIZE
 
 
+def _check_whole_ns(*occupancies) -> None:
+    """Occupancies are whole nanoseconds.
+
+    The memory system sums occupancy work per window in any grouping
+    (see ``repro.machine.contention``); integer work keeps those float
+    sums exact.
+    """
+    if any(int(value) != value for value in occupancies):
+        raise ConfigurationError("occupancies must be whole nanoseconds")
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Geometry and hit latency of one cache level."""
@@ -85,6 +96,9 @@ class MemoryConfig:
             raise ConfigurationError("nodes need at least one frame")
         if self.controller_occupancy_ns < 0 or self.remote_extra_occupancy_ns < 0:
             raise ConfigurationError("occupancies must be non-negative")
+        _check_whole_ns(
+            self.controller_occupancy_ns, self.remote_extra_occupancy_ns
+        )
 
 
 @dataclass(frozen=True)
@@ -103,6 +117,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if self.hop_ns < 0 or self.link_occupancy_ns < 0:
             raise ConfigurationError("network delays must be non-negative")
+        _check_whole_ns(self.link_occupancy_ns)
         if not 0.0 < self.max_utilisation < 1.0:
             raise ConfigurationError("max_utilisation must lie in (0, 1)")
 

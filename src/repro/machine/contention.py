@@ -14,6 +14,20 @@ with ``rho`` capped below 1.  Using the *previous* window keeps the model
 deterministic and independent of intra-window event order.  The same object
 reports the statistics Section 7.1.2 quotes: request counts, time-averaged
 queue length and maximum observed occupancy (utilisation).
+
+The model has two primitives, and :meth:`UtilisationWindow.offer` is one
+call of each:
+
+* :meth:`~UtilisationWindow.rho_at` is the capped ``rho`` an offer in a
+  given window is charged.  It reads state only, and it is fixed once the
+  window opens, so a caller servicing many requests in one window can
+  compute each delay once per window instead of once per request;
+* :meth:`~UtilisationWindow.fold` adds a window's work.  It closes the
+  resource's previous window lazily, as an offer does: a resource closes
+  a window only when it is next given work, and
+  :meth:`~UtilisationWindow.average_queue_length` reads an unclosed last
+  window at its running rate.  With integer-ns work, one fold of a sum
+  ends in the state the per-request offers reach, in any grouping.
 """
 
 from __future__ import annotations
@@ -43,15 +57,13 @@ class UtilisationWindow:
         self.total_busy_ns = 0.0
         self._rho_max = 0.0
         self._queue_area = 0.0     # integral of queue length over time
-        self._last_advance = 0
 
     # -- internal -------------------------------------------------------------
 
-    def _advance(self, now: int) -> None:
-        index = now // self._window_ns
+    def _close_to(self, index: int) -> None:
+        """Close the current window if ``index`` is another one."""
         if index == self._window_index:
             return
-        # Close out current window.
         rho = min(self._work_in_window / self._window_ns, self._max_rho)
         self._rho_max = max(self._rho_max, rho)
         queue_len = rho / (1.0 - rho)
@@ -64,9 +76,27 @@ class UtilisationWindow:
             self._prev_rho = 0.0
         self._window_index = index
         self._work_in_window = 0.0
-        self._last_advance = now
 
     # -- public ----------------------------------------------------------------
+
+    def rho_at(self, window: int) -> float:
+        """The capped utilisation an offer in ``window`` is charged.
+
+        Reads state only: it is the ``rho`` :meth:`_close_to` would leave
+        as the previous window's, without closing anything.
+        """
+        if window == self._window_index:
+            return self._prev_rho
+        if window - self._window_index - 1 > 0:
+            return 0.0                 # idle windows between
+        return min(self._work_in_window / self._window_ns, self._max_rho)
+
+    def fold(self, window: int, work: float, requests: int) -> None:
+        """Add ``requests`` requests doing ``work`` ns in all to ``window``."""
+        self._close_to(window)
+        self._work_in_window += work
+        self.requests += requests
+        self.total_busy_ns += work
 
     def offer(self, now: int, occupancy_ns: float, weight: int = 1) -> float:
         """Record ``weight`` requests each busying the resource for
@@ -76,11 +106,9 @@ class UtilisationWindow:
             raise ConfigurationError("weight must be positive")
         if occupancy_ns < 0:
             raise ConfigurationError("occupancy must be non-negative")
-        self._advance(now)
-        self._work_in_window += occupancy_ns * weight
-        self.requests += weight
-        self.total_busy_ns += occupancy_ns * weight
-        rho = min(self._prev_rho, self._max_rho)
+        window = now // self._window_ns
+        rho = self.rho_at(window)
+        self.fold(window, occupancy_ns * weight, weight)
         return occupancy_ns * rho / (1.0 - rho)
 
     def utilisation(self) -> float:

@@ -25,11 +25,11 @@ class Interconnect:
     def __init__(self, config: MachineConfig, window_ns: int = 1_000_000) -> None:
         self.config = config
         net = config.network
-        self._links: List[UtilisationWindow] = [
+        self.links: List[UtilisationWindow] = [
             UtilisationWindow(window_ns, net.max_utilisation)
             for _ in range(config.n_nodes)
         ]
-        self._occupancy = net.link_occupancy_ns
+        self.link_occupancy_ns = net.link_occupancy_ns
         self.remote_requests = 0
 
     def traverse(self, now: int, src_node: int, dst_node: int, weight: int = 1) -> float:
@@ -40,16 +40,16 @@ class Interconnect:
         if src_node == dst_node:
             return 0.0
         self.remote_requests += weight
-        delay = self._links[src_node].offer(now, self._occupancy, weight)
-        delay += self._links[dst_node].offer(now, self._occupancy, weight)
+        delay = self.links[src_node].offer(now, self.link_occupancy_ns, weight)
+        delay += self.links[dst_node].offer(now, self.link_occupancy_ns, weight)
         return delay
 
     def average_queue_length(self, now: int) -> float:
         """Mean of per-link time-averaged queue lengths."""
-        if not self._links:
+        if not self.links:
             return 0.0
-        return sum(l.average_queue_length(now) for l in self._links) / len(self._links)
+        return sum(l.average_queue_length(now) for l in self.links) / len(self.links)
 
     def max_link_utilisation(self) -> float:
         """Highest window utilisation seen on any link."""
-        return max((l.max_utilisation_seen for l in self._links), default=0.0)
+        return max((l.max_utilisation_seen for l in self.links), default=0.0)

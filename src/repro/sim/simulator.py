@@ -42,6 +42,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 from repro.kernel.pager.collapse import CollapseHandler
 from repro.kernel.pager.costs import KernelCostAccounting, KernelCostModel
@@ -83,6 +85,23 @@ _LEGACY_EXTRA_ADAPTIVE = {
     "final_trigger": "policy.adaptive.trigger",
     "trigger_history_len": "policy.adaptive.history_len",
 }
+
+
+#: Records whose columns are turned into Python lists at a time.  Whole
+#: columns cost ~18 MB more peak memory on the Fig. 3 grid at scale 0.25,
+#: for no speed.
+_CHUNK = 8192
+
+#: How one element of each ``feed`` column becomes a Python scalar.
+_CONVERTS = (int, int, int, int, int, bool, bool, bool)
+
+
+def _chunk(column, lo: int, convert) -> list:
+    """``column[lo:lo + _CHUNK]`` as a list of Python scalars."""
+    part = column[lo:lo + _CHUNK]
+    if isinstance(part, np.ndarray):
+        return part.tolist()
+    return [convert(value) for value in part]
 
 
 @dataclass
@@ -232,11 +251,34 @@ class NumaSystem:
         continue one another exactly: a stream fed in slices ends in the
         state one whole-stream call reaches.  Returns the last record's
         ``(node, MissService)``, or None for an empty batch.
+
+        Misses are serviced through the memory system's per-window
+        latency table, and their latency statistics and stall are summed
+        here in record order, so the results are the ones per-record
+        :meth:`NumaMemorySystem.service_miss` calls give, bit for bit.
         """
-        if len(times) == 0:
-            return None
+        columns = (times, cpus, pids, pages, weights, is_write, is_instr,
+                   is_kernel)
+        if any(len(column) != len(times) for column in columns):
+            raise ValueError("feed columns must have equal lengths")
+        last = None
+        for lo in range(0, len(times), _CHUNK):
+            last = self._service(*[
+                _chunk(column, lo, convert)
+                for column, convert in zip(columns, _CONVERTS)
+            ])
+        return last
+
+    def _service(
+        self, times, cpus, pids, pages, weights, is_write, is_instr, is_kernel
+    ):
+        """:meth:`feed` for one non-empty batch of lists of Python scalars."""
         if times[0] < self.now_ns:
             raise ValueError("miss events must arrive in time order")
+        if min(cpus) < 0 or max(cpus) >= self.machine.n_cpus:
+            raise ConfigurationError("cpu out of range")
+        if min(weights) <= 0:
+            raise ConfigurationError("weight must be positive")
         machine, params, options = self.machine, self.params, self.options
         tracer = self.tracer
         vm, memory, directory = self.vm, self.memory, self.directory
@@ -248,97 +290,171 @@ class NumaSystem:
         next_reset = self._next_reset
         interval_marks = self._interval_marks
         interval_index = self._interval_index
-        node_of_cpu = machine.node_of_cpu
         dynamic = options.dynamic
         emit_miss = tracer.wants(MissServiced.KIND)
         trace_on = tracer.active
+        n_nodes = machine.n_nodes
+        node_of_cpu = memory.node_of_cpu
+        counts = memory.pair_counts
+        latency_table = memory.latency_table
+        window_ns = memory.window_ns
+        window_lo = window_hi = 0         # the first record opens a table
+        # Latency statistics and stall, summed on locals and written back
+        # when the loop ends.
+        local_stats, remote_stats = memory.local_latency, memory.remote_latency
+        l_count, l_total, l_mean, l_m2 = (
+            local_stats.count, local_stats.total,
+            local_stats._mean, local_stats._m2,
+        )
+        l_min, l_max = local_stats.minimum, local_stats.maximum
+        r_count, r_total, r_mean, r_m2 = (
+            remote_stats.count, remote_stats.total,
+            remote_stats._mean, remote_stats._m2,
+        )
+        r_min, r_max = remote_stats.minimum, remote_stats.maximum
+        kernel_instr_ns, kernel_data_ns = (
+            stall.kernel_instr_ns, stall.kernel_data_ns
+        )
+        user_instr_ns, user_data_ns = stall.user_instr_ns, stall.user_data_ns
+        local_ns, remote_ns = stall.local_ns, stall.remote_ns
+        local_misses, remote_misses = stall.local_misses, stall.remote_misses
+        t = self.now_ns
+        try:
+            for t, cpu, pid, page, weight, write, instr, kernel in zip(
+                times, cpus, pids, pages, weights, is_write, is_instr,
+                is_kernel,
+            ):
+                last_cpu[pid] = cpu
 
-        for i in range(len(times)):
-            t = int(times[i])
-            cpu = int(cpus[i])
-            pid = int(pids[i])
-            page = int(pages[i])
-            weight = int(weights[i])
-            write = bool(is_write[i])
-            instr = bool(is_instr[i])
-            kernel = bool(is_kernel[i])
-            last_cpu[pid] = cpu
-
-            # Pager interrupts whose dispatch delay has elapsed; each is
-            # serviced at its own due time, so contention between handlers
-            # reflects actual interrupt timing, not record batching.
-            while pending and pending[0][0] <= t:
-                due, _, batch = heapq.heappop(pending)
-                pager.handle_batch(due, batch)
-            # Reset-interval expiry: drain in-flight batches first.
-            if t >= next_reset:
-                for batch in directory.drain():
-                    pager.handle_batch(t, batch)
-                while pending:
-                    _, _, batch = heapq.heappop(pending)
-                    pager.handle_batch(t, batch)
-                if trace_on:
-                    tracer.emit(
-                        IntervalReset(
-                            t=t,
-                            index=interval_index,
-                            tracked_pages=directory.bank.tracked_pages,
-                            triggers=directory.triggers,
-                        )
-                    )
-                interval_index += 1
-                directory.interval_reset()
-                if adaptive is not None:
-                    feedback = IntervalFeedback(
-                        interval_ns=params.reset_interval_ns,
-                        n_cpus=machine.n_cpus,
-                        overhead_ns=accounting.total_overhead_ns
-                        - interval_marks[0],
-                        remote_misses=memory.remote_misses
-                        - interval_marks[1],
-                        total_misses=memory.total_misses
-                        - interval_marks[2],
-                    )
-                    old_trigger = directory.trigger_threshold
-                    new_trigger = adaptive.update(feedback)
-                    directory.trigger_threshold = new_trigger
-                    tuned = params.replace(
-                        trigger_threshold=new_trigger,
-                        sharing_threshold=max(1, new_trigger // 4),
-                    )
-                    pager.params = tuned
-                    if trace_on and new_trigger != old_trigger:
+                # Pager interrupts whose dispatch delay has elapsed;
+                # each is serviced at its own due time, so contention
+                # between handlers reflects actual interrupt timing,
+                # not record batching.
+                while pending and pending[0][0] <= t:
+                    due, _, batch = heapq.heappop(pending)
+                    pager.handle_batch(due, batch)
+                # Reset-interval expiry: drain in-flight batches first.
+                if t >= next_reset:
+                    memory.fold()     # the adaptive feedback reads it
+                    for batch in directory.drain():
+                        pager.handle_batch(t, batch)
+                    while pending:
+                        _, _, batch = heapq.heappop(pending)
+                        pager.handle_batch(t, batch)
+                    if trace_on:
                         tracer.emit(
-                            TriggerAdjusted(
+                            IntervalReset(
                                 t=t,
-                                old_trigger=old_trigger,
-                                new_trigger=new_trigger,
-                                overhead_fraction=feedback.overhead_fraction,
-                                remote_fraction=feedback.remote_fraction,
+                                index=interval_index,
+                                tracked_pages=directory.bank.tracked_pages,
+                                triggers=directory.triggers,
                             )
                         )
-                interval_marks = (
-                    accounting.total_overhead_ns,
-                    memory.remote_misses,
-                    memory.total_misses,
-                )
-                while next_reset <= t:
-                    next_reset += params.reset_interval_ns
+                    interval_index += 1
+                    directory.interval_reset()
+                    if adaptive is not None:
+                        feedback = IntervalFeedback(
+                            interval_ns=params.reset_interval_ns,
+                            n_cpus=machine.n_cpus,
+                            overhead_ns=accounting.total_overhead_ns
+                            - interval_marks[0],
+                            remote_misses=memory.remote_misses
+                            - interval_marks[1],
+                            total_misses=memory.total_misses
+                            - interval_marks[2],
+                        )
+                        old_trigger = directory.trigger_threshold
+                        new_trigger = adaptive.update(feedback)
+                        directory.trigger_threshold = new_trigger
+                        tuned = params.replace(
+                            trigger_threshold=new_trigger,
+                            sharing_threshold=max(1, new_trigger // 4),
+                        )
+                        pager.params = tuned
+                        if trace_on and new_trigger != old_trigger:
+                            tracer.emit(
+                                TriggerAdjusted(
+                                    t=t,
+                                    old_trigger=old_trigger,
+                                    new_trigger=new_trigger,
+                                    overhead_fraction=(
+                                        feedback.overhead_fraction
+                                    ),
+                                    remote_fraction=(
+                                        feedback.remote_fraction
+                                    ),
+                                )
+                            )
+                    interval_marks = (
+                        accounting.total_overhead_ns,
+                        memory.remote_misses,
+                        memory.total_misses,
+                    )
+                    while next_reset <= t:
+                        next_reset += params.reset_interval_ns
 
-            if kernel:
-                # Kernel pages: first-touch placement, never movable.
-                node = kernel_placement.get(page)
-                if node is None:
-                    node = node_of_cpu(cpu)
-                    kernel_placement[page] = node
-                service = memory.service_miss(t, cpu, node, weight)
-                stall.add(
-                    service.latency_ns * weight,
-                    weight,
-                    is_kernel=True,
-                    is_instr=instr,
-                    is_remote=service.is_remote,
-                )
+                cpu_node = node_of_cpu[cpu]
+                if kernel:
+                    # Kernel pages: first-touch placement, never movable.
+                    node = kernel_placement.get(page)
+                    if node is None:
+                        node = kernel_placement[page] = cpu_node
+                else:
+                    # User pages go through the VM system.
+                    pte = vm.fault(pid, page, cpu_node)
+                    if write:
+                        master = vm.master_of(page)
+                        if master is not None and master.has_replicas:
+                            collapser.handle_write_fault(t, page, cpu)
+                    node = pte.frame.node
+
+                if not window_lo <= t < window_hi:
+                    window = t // window_ns
+                    table = latency_table(window)
+                    window_lo = window * window_ns
+                    window_hi = window_lo + window_ns
+                key = cpu_node * n_nodes + node
+                latency = table[key]
+                counts[key] += weight
+                # StallBreakdown.add and OnlineStats.add's weighted Welford
+                # update, inline and in record order.
+                stall_ns = latency * weight
+                if kernel:
+                    if instr:
+                        kernel_instr_ns += stall_ns
+                    else:
+                        kernel_data_ns += stall_ns
+                elif instr:
+                    user_instr_ns += stall_ns
+                else:
+                    user_data_ns += stall_ns
+                remote = node != cpu_node
+                if remote:
+                    remote_ns += stall_ns
+                    remote_misses += weight
+                    r_total += stall_ns
+                    if latency < r_min:
+                        r_min = latency
+                    if latency > r_max:
+                        r_max = latency
+                    new_count = r_count + weight
+                    delta = latency - r_mean
+                    r_mean += delta * weight / new_count
+                    r_m2 += delta * (latency - r_mean) * weight
+                    r_count = new_count
+                else:
+                    local_ns += stall_ns
+                    local_misses += weight
+                    l_total += stall_ns
+                    if latency < l_min:
+                        l_min = latency
+                    if latency > l_max:
+                        l_max = latency
+                    new_count = l_count + weight
+                    delta = latency - l_mean
+                    l_mean += delta * weight / new_count
+                    l_m2 += delta * (latency - l_mean) * weight
+                    l_count = new_count
                 if emit_miss:
                     tracer.emit(
                         MissServiced(
@@ -347,66 +463,51 @@ class NumaSystem:
                             page=page,
                             node=node,
                             weight=weight,
-                            latency_ns=service.latency_ns,
-                            remote=service.is_remote,
-                            kernel=True,
+                            latency_ns=latency,
+                            remote=remote,
+                            kernel=kernel,
                         )
                     )
-                continue
-
-            # User pages go through the VM system.
-            pte = vm.fault(pid, page, node_of_cpu(cpu))
-            master = vm.master_of(page)
-            if write and master is not None and master.has_replicas:
-                collapser.handle_write_fault(t, page, cpu)
-            node = pte.frame.node
-            service = memory.service_miss(t, cpu, node, weight)
-            stall.add(
-                service.latency_ns * weight,
-                weight,
-                is_kernel=False,
-                is_instr=instr,
-                is_remote=service.is_remote,
-            )
-            if emit_miss:
-                tracer.emit(
-                    MissServiced(
-                        t=t,
-                        cpu=cpu,
-                        page=page,
-                        node=node,
-                        weight=weight,
-                        latency_ns=service.latency_ns,
-                        remote=service.is_remote,
-                        kernel=False,
+                if dynamic and not kernel:
+                    batch = directory.observe(
+                        page,
+                        cpu,
+                        write,
+                        weight,
+                        is_local=not remote,
+                        process=pid,
+                        now_ns=t,
                     )
-                )
-            if dynamic:
-                batch = directory.observe(
-                    page,
-                    cpu,
-                    write,
-                    weight,
-                    is_local=not service.is_remote,
-                    process=pid,
-                    now_ns=t,
-                )
-                if batch is not None:
-                    # Small per-CPU skew so simultaneous interrupts from
-                    # different CPUs do not serialise on memlock at the
-                    # exact same instant.
-                    jitter = (cpu * 997_001) % 4_000_000
-                    heapq.heappush(
-                        pending,
-                        (t + options.pager_delay_ns + jitter,
-                         next(pending_seq), batch),
-                    )
-
-        self.now_ns = t
-        self._next_reset = next_reset
-        self._interval_index = interval_index
-        self._interval_marks = interval_marks
-        return node, service
+                    if batch is not None:
+                        # Small per-CPU skew so simultaneous interrupts
+                        # from different CPUs do not serialise on
+                        # memlock at the exact same instant.
+                        jitter = (cpu * 997_001) % 4_000_000
+                        heapq.heappush(
+                            pending,
+                            (t + options.pager_delay_ns + jitter,
+                             next(pending_seq), batch),
+                        )
+        finally:
+            (local_stats.count, local_stats.total, local_stats._mean,
+             local_stats._m2) = (l_count, l_total, l_mean, l_m2)
+            local_stats.minimum, local_stats.maximum = l_min, l_max
+            (remote_stats.count, remote_stats.total, remote_stats._mean,
+             remote_stats._m2) = (r_count, r_total, r_mean, r_m2)
+            remote_stats.minimum, remote_stats.maximum = r_min, r_max
+            stall.kernel_instr_ns = kernel_instr_ns
+            stall.kernel_data_ns = kernel_data_ns
+            stall.user_instr_ns = user_instr_ns
+            stall.user_data_ns = user_data_ns
+            stall.local_ns, stall.remote_ns = local_ns, remote_ns
+            stall.local_misses = local_misses
+            stall.remote_misses = remote_misses
+            memory.fold()
+            self.now_ns = t
+            self._next_reset = next_reset
+            self._interval_index = interval_index
+            self._interval_marks = interval_marks
+        return node, memory.table_service(cpu_node, node)
 
     def miss(
         self,
@@ -427,9 +528,9 @@ class NumaSystem:
         # Only this record's write fault can collapse: pager interrupts
         # migrate and replicate, never collapse.
         collapses = self.collapser.collapses
-        node, service = self.feed(
-            (time_ns,), (cpu,), (process,), (page,), (weight,), (write,),
-            (False,), (False,),
+        node, service = self._service(
+            [int(time_ns)], [int(cpu)], [int(process)], [int(page)],
+            [int(weight)], [bool(write)], [False], [False],
         )
         return MissOutcome(
             node=node,

@@ -19,15 +19,20 @@ SMALL_SCALE = 0.05
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_trace_store(tmp_path_factory):
-    """Point the trace store at a per-session temp dir.
+    """Point the trace store, result cache and run history at per-session
+    temp dirs.
 
-    Tests must neither read recordings from nor write them into the
-    user's ``~/.cache/repro/traces``; worker processes spawned by sweep
-    tests inherit the environment, so they share the same temp store.
+    Tests must neither read from nor write into the user's
+    ``~/.cache/repro`` (traces, ``exp`` results, ``history.sqlite``):
+    commands such as ``serve --once`` open the default history store when
+    given no ``--history-dir``.  Worker processes spawned by sweep tests
+    inherit the environment, so they share the same temp stores.
     """
     from repro.store import reset_default_store
 
     os.environ["REPRO_TRACE_DIR"] = str(tmp_path_factory.mktemp("traces"))
+    os.environ["REPRO_CACHE_DIR"] = str(tmp_path_factory.mktemp("cache"))
+    os.environ["REPRO_HISTORY_DIR"] = str(tmp_path_factory.mktemp("history"))
     reset_default_store()
     yield
 

@@ -116,3 +116,11 @@ class TestWithHelpers:
     def test_with_network(self):
         m = MachineConfig.flash_ccnuma().with_network(hop_ns=999)
         assert m.network.hop_ns == 999
+
+
+def test_occupancies_must_be_whole_nanoseconds():
+    with pytest.raises(ConfigurationError):
+        MemoryConfig(controller_occupancy_ns=160.5)
+    with pytest.raises(ConfigurationError):
+        NetworkConfig(link_occupancy_ns=0.25)
+    MemoryConfig(remote_extra_occupancy_ns=90.0)  # a whole float is fine

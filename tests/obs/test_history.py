@@ -16,6 +16,7 @@ from repro.obs.history import (
     MetricSample,
     TrendStats,
     compare_history,
+    default_history_dir,
     format_trends,
     trend_delta,
     trend_regressions,
@@ -33,6 +34,17 @@ def bench_artifact(name="replay_fastpath", wall=1.0):
     artifact.add("speedup.all", 3.0, unit="x", direction="higher",
                  tolerance=0.25)
     return artifact
+
+
+def test_default_dirs_resolve_under_session_temp(tmp_path_factory):
+    """The suite never touches the user's ``~/.cache/repro``: a command
+    given no ``--history-dir`` or ``--cache-dir`` (``serve --once``) opens
+    stores under the session's temp root."""
+    from repro.exp.cache import default_cache_dir
+
+    root = tmp_path_factory.getbasetemp().resolve()
+    assert root in default_history_dir().resolve().parents
+    assert root in default_cache_dir().resolve().parents
 
 
 class TestSchema:

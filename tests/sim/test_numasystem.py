@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.machine.config import MachineConfig
 from repro.policy.parameters import PolicyParameters
 from repro.obs.events import ALL_KINDS, MissServiced
@@ -234,6 +235,18 @@ class TestBatchSlices:
         assert (tmp_path / "sliced.jsonl").read_bytes() == (
             tmp_path / "whole.jsonl"
         ).read_bytes()
+
+    @pytest.mark.parametrize("columns, error", [
+        (([0, 1], [0], [0], [0], [1], [0], [0], [0]), ValueError),
+        (([0], [8], [0], [0], [1], [0], [0], [0]), ConfigurationError),
+        (([0], [-1], [0], [0], [1], [0], [0], [0]), ConfigurationError),
+        (([0], [0], [0], [0], [0], [0], [0], [0]), ConfigurationError),
+    ], ids=["unequal-lengths", "cpu-too-high", "cpu-negative", "weight-0"])
+    def test_malformed_batch_is_rejected(self, columns, error):
+        system = make_system()
+        with pytest.raises(error):
+            system.feed(*columns)
+        assert system.memory.total_misses == 0
 
     def test_empty_batch_changes_nothing(self):
         system = make_system()
